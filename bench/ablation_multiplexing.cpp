@@ -32,7 +32,8 @@ int main() {
     }
   }
 
-  const auto grouped = vpapi::collect(machine, events, acts, 1);
+  const auto grouped =
+      vpapi::collect(machine, events, acts, vpapi::repetition_ids(1));
   const auto muxed = vpapi::collect_multiplexed(machine, events, acts, 1);
 
   std::cout << "Grouped runs per repetition: " << grouped.runs_per_repetition

@@ -46,11 +46,12 @@ int main() {
             << "mult   retries  quarantined  selected  identical-to-clean\n";
   for (const double mult : {0.0, 0.5, 1.0, 2.0, 5.0, 10.0, 25.0}) {
     const faults::FaultPlan plan = scaled_mid_rate(mult);
+    core::CampaignOptions campaign;
+    campaign.pipeline = options;
+    campaign.fault_plan = plan.enabled() ? &plan : nullptr;
     core::PipelineResult result;
     try {
-      result = core::run_pipeline_resilient(
-          machine, bench, signatures, options,
-          plan.enabled() ? &plan : nullptr, {});
+      result = core::run_campaign(machine, bench, signatures, campaign).result;
     } catch (const std::runtime_error& e) {
       // The documented floor: every event quarantined -> typed abort
       // instead of a vacuous analysis.

@@ -32,7 +32,8 @@ void BM_MultiplexedCollection(benchmark::State& state) {
   const pmu::Machine machine = pmu::saphira_cpu();
   const auto acts = cat::cpu_flops_benchmark().single_thread_activities();
   for (auto _ : state) {
-    auto res = vpapi::collect_all(machine, acts, 2);
+    auto res = vpapi::collect(machine, machine.event_names(), acts,
+                              vpapi::repetition_ids(2));
     benchmark::DoNotOptimize(res.repetitions.data());
   }
 }
@@ -43,7 +44,8 @@ void BM_CollectionThreads(benchmark::State& state) {
   const auto acts = cat::cpu_flops_benchmark().single_thread_activities();
   const int threads = static_cast<int>(state.range(0));
   for (auto _ : state) {
-    auto res = vpapi::collect_all(machine, acts, 4, threads);
+    auto res = vpapi::collect(machine, machine.event_names(), acts,
+                              vpapi::repetition_ids(4), threads);
     benchmark::DoNotOptimize(res.repetitions.data());
   }
 }

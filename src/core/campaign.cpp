@@ -4,10 +4,10 @@
 #include <filesystem>
 #include <sstream>
 #include <stdexcept>
-#include <unordered_map>
 #include <unordered_set>
 
 #include "core/contract.hpp"
+#include "core/io.hpp"
 #include "core/json.hpp"
 #include "core/noise.hpp"
 #include "obs/names.hpp"
@@ -151,19 +151,67 @@ std::string campaign_config_key(const pmu::Machine& machine,
 
 namespace {
 
-/// One completed batch: repetition r's thread-median, normalized readings
-/// for the events that survived it.
+/// The thread-median, normalized readings of consecutive repetitions: one
+/// checkpoint batch, or every repetition of an uncheckpointed campaign.
 struct Batch {
-  std::vector<std::string> events;  ///< Kept events, machine order.
-  /// measurements[e][k]: thread-median, normalized reading.
-  std::vector<std::vector<double>> measurements;
-  std::vector<std::string> quarantined;  ///< This batch's casualties.
-  vpapi::CollectionReport report;        ///< Merged across benchmark threads.
-  /// Sampling/strobed modes only: the per-run sample traces behind this
-  /// batch's measurements, benchmark-thread order.  Never checkpointed
-  /// (checkpointing is counting-only).
+  /// Machine-order indices of the events no benchmark thread quarantined.
+  std::vector<std::size_t> events;
+  /// measurements[i][r][k]: reading of events[i], repetition r, slot k.
+  std::vector<std::vector<std::vector<double>>> measurements;
+  /// Summed over benchmark threads, one entry per machine event, in machine
+  /// order; present exactly when a fault plan is.
+  std::optional<vpapi::CollectionReport> report;
+  /// Sampling/strobed modes only: the sample traces behind the
+  /// measurements, in (repetition, benchmark thread, run) order.  Never
+  /// checkpointed (checkpointing is counting-only).
   std::vector<vpapi::RunTrace> traces;
 };
+
+/// What one batch's collector calls return, before the thread-median.
+struct ThreadData {
+  std::vector<vpapi::CollectionResult> threads;  ///< One per bench thread.
+  std::optional<vpapi::CollectionReport> report;
+  std::vector<vpapi::SampleTrace> traces;  ///< Sampled modes only.
+};
+
+/// Machine-order indices of `names`, which must be an ordered subsequence
+/// of `all` (collectors drop quarantined rows but never reorder).
+std::vector<std::size_t> subsequence_indices(
+    const std::vector<std::string>& names,
+    const std::vector<std::string>& all) {
+  std::vector<std::size_t> indices;
+  indices.reserve(names.size());
+  std::size_t j = 0;
+  for (const auto& name : names) {
+    while (j < all.size() && all[j] != name) ++j;
+    if (j == all.size()) {
+      throw std::invalid_argument("event '" + name +
+                                  "' is not in machine order");
+    }
+    indices.push_back(j++);
+  }
+  return indices;
+}
+
+/// Adds `src`'s counts into `dst` (both one entry per machine event, in
+/// machine order).  An event's disposition is the worst either saw: faults
+/// or retries anywhere make it recovered, a quarantine anywhere quarantined.
+void add_report(vpapi::CollectionReport& dst,
+                const vpapi::CollectionReport& src) {
+  for (std::size_t e = 0; e < dst.events.size(); ++e) {
+    vpapi::EventReport& acc = dst.events[e];
+    const vpapi::EventReport& add = src.events[e];
+    acc.read_attempts += add.read_attempts;
+    acc.retries += add.retries;
+    acc.wraps_corrected += add.wraps_corrected;
+    for (std::size_t f = 0; f < acc.faults.size(); ++f) {
+      acc.faults[f] += add.faults[f];
+    }
+    acc.disposition = std::max(acc.disposition, add.disposition);
+  }
+  dst.total_retries += src.total_retries;
+  dst.start_retries += src.start_retries;
+}
 
 std::string checkpoint_path(const std::string& directory, std::size_t batch) {
   std::ostringstream os;
@@ -171,44 +219,27 @@ std::string checkpoint_path(const std::string& directory, std::size_t batch) {
   return os.str();
 }
 
-/// Additively folds `src` (possibly sparse, e.g. loaded from JSON) into the
-/// per-name accumulator map.  Dispositions are resolved later, from the
-/// campaign-wide quarantine union.
-void merge_report_into(
-    std::unordered_map<std::string, vpapi::EventReport>& by_name,
-    const vpapi::CollectionReport& src) {
-  for (const auto& e : src.events) {
-    vpapi::EventReport& acc = by_name[e.name];
-    acc.name = e.name;
-    acc.read_attempts += e.read_attempts;
-    acc.retries += e.retries;
-    acc.wraps_corrected += e.wraps_corrected;
-    for (std::size_t i = 0; i < acc.faults.size(); ++i) {
-      acc.faults[i] += e.faults[i];
-    }
-  }
-}
-
-json::Value batch_to_json(const Batch& batch, const std::string& config_key,
-                          std::size_t index) {
+/// Serializes a one-repetition batch.
+json::Value batch_to_json(const Batch& batch,
+                          const std::vector<std::string>& all_events,
+                          const std::string& config_key, std::size_t index) {
   json::Value root = json::Value::object();
   root["format"] = kCheckpointFormat;
   root["config"] = config_key;
   root["batch"] = static_cast<double>(index);
   json::Value events = json::Value::array();
-  for (const auto& n : batch.events) events.push_back(n);
+  for (const std::size_t e : batch.events) events.push_back(all_events[e]);
   root["events"] = std::move(events);
   json::Value meas = json::Value::array();
   for (const auto& per_event : batch.measurements) {
     json::Value row = json::Value::array();
-    for (double v : per_event) row.push_back(v);
+    for (double v : per_event.front()) row.push_back(v);
     meas.push_back(std::move(row));
   }
   root["measurements"] = std::move(meas);
-  json::Value q = json::Value::array();
-  for (const auto& n : batch.quarantined) q.push_back(n);
-  root["quarantined"] = std::move(q);
-  root["report"] = collection_report_to_json(batch.report);
+  if (batch.report.has_value()) {
+    root["report"] = collection_report_to_json(*batch.report);
+  }
   return root;
 }
 
@@ -216,7 +247,9 @@ json::Value batch_to_json(const Batch& batch, const std::string& config_key,
 /// std::invalid_argument) on anything suspicious; the caller treats every
 /// throw as "batch not done" and re-collects.
 Batch batch_from_json(const std::string& text, const std::string& config_key,
-                      std::size_t index, std::size_t n_slots) {
+                      std::size_t index, std::size_t n_slots,
+                      const std::vector<std::string>& all_events,
+                      bool with_report) {
   const json::Value root = json::parse(text);
   if (root.at("format").as_string() != kCheckpointFormat) {
     throw std::invalid_argument("checkpoint: unsupported format");
@@ -228,9 +261,11 @@ Batch batch_from_json(const std::string& text, const std::string& config_key,
     throw std::invalid_argument("checkpoint: batch index mismatch");
   }
   Batch b;
+  std::vector<std::string> names;
   for (const auto& n : root.at("events").as_array()) {
-    b.events.push_back(n.as_string());
+    names.push_back(n.as_string());
   }
+  b.events = subsequence_indices(names, all_events);
   const auto& meas = root.at("measurements").as_array();
   if (meas.size() != b.events.size()) {
     throw std::invalid_argument("checkpoint: measurements/events mismatch");
@@ -241,110 +276,145 @@ Batch batch_from_json(const std::string& text, const std::string& config_key,
     if (vec.size() != n_slots) {
       throw std::invalid_argument("checkpoint: measurement row width");
     }
-    b.measurements.push_back(std::move(vec));
+    b.measurements.push_back({std::move(vec)});
   }
-  for (const auto& n : root.at("quarantined").as_array()) {
-    b.quarantined.push_back(n.as_string());
+  if (with_report) {
+    // Stored sparse (untouched events are implicit); re-expand to one
+    // entry per machine event.
+    vpapi::CollectionReport sparse =
+        collection_report_from_json(root.at("report"));
+    b.report.emplace();
+    b.report->events.resize(all_events.size());
+    for (std::size_t e = 0; e < all_events.size(); ++e) {
+      b.report->events[e].name = all_events[e];
+    }
+    std::vector<std::string> touched;
+    for (const auto& e : sparse.events) touched.push_back(e.name);
+    const auto at = subsequence_indices(touched, all_events);
+    for (std::size_t i = 0; i < at.size(); ++i) {
+      b.report->events[at[i]] = std::move(sparse.events[i]);
+    }
+    b.report->total_retries = sparse.total_retries;
+    b.report->start_retries = sparse.start_retries;
   }
-  b.report = collection_report_from_json(root.at("report"));
   return b;
 }
 
-/// Collects batch `r` live: one resilient collection per benchmark thread
-/// at the repetition offsets the uninterrupted campaign would use, then the
-/// thread-median + normalization of run_pipeline stages 2-3.
-Batch collect_batch(const pmu::Machine& machine,
-                    const cat::Benchmark& benchmark,
-                    const std::vector<std::string>& all_events,
-                    const std::vector<std::vector<pmu::Activity>>& thread_acts,
-                    const std::vector<double>& inv_normalizer, std::size_t r,
-                    const CampaignOptions& options) {
+/// Stage 1: collects repetitions [first, first + count) on every benchmark
+/// thread.  Thread t reads repetition r at id r * n_threads + t, so its
+/// counters see noise independent of every other thread's, as separate
+/// hardware threads would, and any split into batches reads exactly what
+/// one uncheckpointed campaign reads.
+ThreadData collect_threads(
+    const pmu::Machine& machine, const std::vector<std::string>& all_events,
+    const std::vector<std::vector<pmu::Activity>>& thread_acts,
+    std::size_t first, std::size_t count, const CampaignOptions& options) {
   const std::size_t n_threads = thread_acts.size();
-  const std::size_t n_slots = benchmark.slots.size();
-  const bool sampled =
-      options.collection_mode != vpapi::CollectionMode::counting;
-
-  Batch batch;
-  std::vector<vpapi::CollectionResult> thread_data(n_threads);
-  std::vector<vpapi::CollectionReport> thread_reports;
-  std::unordered_set<std::string> quarantined_set;
+  const int workers = options.pipeline.collection_threads;
+  ThreadData out;
+  out.threads.reserve(n_threads);
   for (std::size_t t = 0; t < n_threads; ++t) {
-    if (sampled) {
+    if (options.pipeline.cancel != nullptr) options.pipeline.cancel->check();
+    const std::vector<std::size_t> ids =
+        vpapi::repetition_ids(count, first * n_threads + t, n_threads);
+    if (options.collection_mode != vpapi::CollectionMode::counting) {
       vpapi::SampledCollectionResult sr = vpapi::collect_sampled(
-          machine, all_events, thread_acts[t], /*repetitions=*/1,
-          options.collection_mode, options.sample_schedule,
-          options.resilience.threads, options.sample_clock,
-          /*repetition_offset=*/r * n_threads + t);
-      thread_data[t] = std::move(sr.data);
-      for (auto& run : sr.trace.runs) batch.traces.push_back(std::move(run));
-    } else {
+          machine, all_events, thread_acts[t], ids, options.collection_mode,
+          options.sample_schedule, workers, options.sample_clock);
+      out.threads.push_back(std::move(sr.data));
+      out.traces.push_back(std::move(sr.trace));
+    } else if (options.fault_plan != nullptr) {
       vpapi::ResilientCollectionResult rr = vpapi::collect_resilient(
-          machine, all_events, thread_acts[t], /*repetitions=*/1,
-          options.fault_plan, options.resilience,
-          /*repetition_offset=*/r * n_threads + t);
-      for (const auto& q : rr.report.quarantined) {
-        quarantined_set.insert(q);
+          machine, all_events, thread_acts[t], ids, workers,
+          options.fault_plan, options.resilience);
+      out.threads.push_back(std::move(rr.data));
+      if (!out.report.has_value()) {
+        out.report = std::move(rr.report);
+        // Rebuilt from the union over threads by median_normalize().
+        out.report->quarantined.clear();
+      } else {
+        add_report(*out.report, rr.report);
       }
-      thread_data[t] = std::move(rr.data);
-      thread_reports.push_back(std::move(rr.report));
-    }
-  }
-
-  for (const auto& name : all_events) {
-    if (quarantined_set.count(name) == 0) {
-      batch.events.push_back(name);
     } else {
-      batch.quarantined.push_back(name);
+      out.threads.push_back(
+          vpapi::collect(machine, all_events, thread_acts[t], ids, workers));
     }
   }
+  return out;
+}
 
-  // Per-thread row index of every kept event (rows of quarantined events
-  // are absent from a thread's data, shifting the ones after them).
-  std::vector<std::unordered_map<std::string, std::size_t>> row_of(n_threads);
+/// Stages 2-3: the median across benchmark threads of every (event,
+/// repetition, slot) reading, normalized per slot.  An event quarantined on
+/// any thread is dropped.
+Batch median_normalize(ThreadData&& data,
+                       const std::vector<std::string>& all_events,
+                       const std::vector<double>& inv_normalizer) {
+  const std::size_t n_threads = data.threads.size();
+  const std::size_t n_events = all_events.size();
+  const std::size_t n_reps = data.threads.front().repetitions.size();
+  const std::size_t n_slots = inv_normalizer.size();
+  constexpr std::size_t kAbsent = static_cast<std::size_t>(-1);
+
+  // rows[t][e]: event e's row in thread t's data, kAbsent if quarantined.
+  std::vector<std::vector<std::size_t>> rows(
+      n_threads, std::vector<std::size_t>(n_events, kAbsent));
   for (std::size_t t = 0; t < n_threads; ++t) {
-    const auto& names = thread_data[t].event_names;
-    for (std::size_t e = 0; e < names.size(); ++e) row_of[t][names[e]] = e;
+    const auto at = subsequence_indices(data.threads[t].event_names,
+                                        all_events);
+    for (std::size_t i = 0; i < at.size(); ++i) rows[t][at[i]] = i;
   }
-
-  batch.measurements.assign(batch.events.size(),
-                            std::vector<double>(n_slots, 0.0));
-  std::vector<double> thread_vals(n_threads);
-  for (std::size_t e = 0; e < batch.events.size(); ++e) {
-    for (std::size_t k = 0; k < n_slots; ++k) {
-      for (std::size_t t = 0; t < n_threads; ++t) {
-        const auto it = row_of[t].find(batch.events[e]);
-        CATALYST_ENSURE(it != row_of[t].end(),
-                        "collect_batch: kept event missing from a thread's "
-                        "data");
-        thread_vals[t] =
-            thread_data[t].repetitions[0].values[it->second][k];
-      }
-      const double med =
-          n_threads == 1 ? thread_vals[0] : median(thread_vals);
-      batch.measurements[e][k] = med * inv_normalizer[k];
+  Batch batch;
+  for (std::size_t e = 0; e < n_events; ++e) {
+    bool kept = true;
+    for (std::size_t t = 0; t < n_threads; ++t) {
+      kept = kept && rows[t][e] != kAbsent;
+    }
+    if (kept) {
+      batch.events.push_back(e);
+    } else if (data.report.has_value()) {
+      data.report->quarantined.push_back(all_events[e]);
     }
   }
 
-  std::unordered_map<std::string, vpapi::EventReport> by_name;
-  for (const auto& rt : thread_reports) {
-    merge_report_into(by_name, rt);
-    batch.report.total_retries += rt.total_retries;
-    batch.report.start_retries += rt.start_retries;
+  // Each output row reuses thread 0's row of the same reading: the median
+  // at slot k only reads slot k of every thread before overwriting it.
+  batch.measurements.resize(batch.events.size());
+  std::vector<double> thread_vals(n_threads);
+  std::vector<const std::vector<double>*> thread_rows(n_threads);
+  for (std::size_t i = 0; i < batch.events.size(); ++i) {
+    const std::size_t e = batch.events[i];
+    batch.measurements[i].reserve(n_reps);
+    for (std::size_t r = 0; r < n_reps; ++r) {
+      std::vector<double> out =
+          std::move(data.threads[0].repetitions[r].values[rows[0][e]]);
+      thread_rows[0] = &out;
+      for (std::size_t t = 1; t < n_threads; ++t) {
+        thread_rows[t] = &data.threads[t].repetitions[r].values[rows[t][e]];
+      }
+      for (std::size_t k = 0; k < n_slots; ++k) {
+        for (std::size_t t = 0; t < n_threads; ++t) {
+          thread_vals[t] = (*thread_rows[t])[k];
+        }
+        const double med =
+            n_threads == 1 ? thread_vals[0] : median(thread_vals);
+        out[k] = med * inv_normalizer[k];
+      }
+      batch.measurements[i].push_back(std::move(out));
+    }
   }
-  for (const auto& name : all_events) {
-    const auto it = by_name.find(name);
-    vpapi::EventReport e = it != by_name.end() ? it->second
-                                               : vpapi::EventReport{};
-    e.name = name;
-    e.disposition = quarantined_set.count(name) != 0
-                        ? vpapi::EventDisposition::quarantined
-                    : e.total_faults() != 0 || e.retries != 0 ||
-                            e.wraps_corrected != 0
-                        ? vpapi::EventDisposition::recovered
-                        : vpapi::EventDisposition::clean;
-    batch.report.events.push_back(std::move(e));
+
+  batch.report = std::move(data.report);
+  // Interleave the per-thread traces into (repetition, thread, run) order.
+  if (!data.traces.empty()) {
+    const std::size_t runs = data.traces.front().runs.size() / n_reps;
+    for (std::size_t r = 0; r < n_reps; ++r) {
+      for (auto& trace : data.traces) {
+        for (std::size_t g = 0; g < runs; ++g) {
+          batch.traces.push_back(std::move(trace.runs[r * runs + g]));
+        }
+      }
+    }
   }
-  batch.report.quarantined = batch.quarantined;
   return batch;
 }
 
@@ -386,6 +456,7 @@ CampaignResult run_campaign(const pmu::Machine& machine,
   }
 
   const std::vector<std::string> all_events = machine.event_names();
+  const std::size_t n_events = all_events.size();
   const std::size_t n_slots = benchmark.slots.size();
   std::vector<std::vector<pmu::Activity>> thread_acts(n_threads);
   for (std::size_t t = 0; t < n_threads; ++t) {
@@ -394,175 +465,150 @@ CampaignResult run_campaign(const pmu::Machine& machine,
       thread_acts[t].push_back(slot.thread_activities[t]);
     }
   }
+  // Per-slot normalization is a multiply in the hot loop, not a divide.
   std::vector<double> inv_normalizer(n_slots);
   for (std::size_t k = 0; k < n_slots; ++k) {
     inv_normalizer[k] = 1.0 / benchmark.slots[k].normalizer;
   }
 
-  const std::string config_key =
-      campaign_config_key(machine, benchmark, options);
   const bool checkpointing = !options.checkpoint.directory.empty();
+  const bool with_report = !sampled && options.fault_plan != nullptr;
+  std::string config_key;
   std::optional<CheckpointDirLease> lease;
   if (checkpointing) {
+    config_key = campaign_config_key(machine, benchmark, options);
     lease.emplace(options.checkpoint.directory);
     std::filesystem::create_directories(options.checkpoint.directory);
   }
 
+  // --- Stages 1-3, one batch per repetition when checkpointing ------------
   CampaignResult out;
-  out.batches_total = options.pipeline.repetitions;
-  obs::Span collect_span("stage.collect");
-  collect_span.arg("batches", out.batches_total);
-  collect_span.arg("checkpointing", checkpointing);
+  const std::size_t reps = options.pipeline.repetitions;
+  const std::size_t batch_reps = checkpointing ? 1 : reps;
+  out.batches_total = reps / batch_reps;
+  std::int64_t collect_ns = 0;
+  std::int64_t median_ns = 0;
   std::vector<Batch> batches;
   batches.reserve(out.batches_total);
-  for (std::size_t r = 0; r < out.batches_total; ++r) {
-    obs::Span batch_span("campaign.batch");
-    batch_span.arg("batch", r);
-    bool resumed = false;
+  for (std::size_t b = 0; b < out.batches_total; ++b) {
+    obs::Span batch_span(checkpointing ? "campaign.batch" : nullptr);
+    batch_span.arg("batch", b);
+    std::optional<Batch> loaded;
+    ThreadData data;
+    obs::Span collect_span("stage.collect");
+    collect_span.arg("machine", machine.name());
+    collect_span.arg("events", n_events);
+    collect_span.arg("slots", n_slots);
+    collect_span.arg("threads", n_threads);
     if (checkpointing && options.checkpoint.resume) {
       obs::Span load_span("campaign.checkpoint.load");
-      load_span.arg("batch", r);
-      const std::string path =
-          checkpoint_path(options.checkpoint.directory, r);
+      load_span.arg("batch", b);
       try {
-        batches.push_back(
-            batch_from_json(read_text_file(path), config_key, r, n_slots));
-        resumed = true;
+        loaded = batch_from_json(
+            read_text_file(checkpoint_path(options.checkpoint.directory, b)),
+            config_key, b, n_slots, all_events, with_report);
       } catch (const std::exception&) {
         // Missing, truncated, corrupt, or mismatched checkpoint: the batch
         // is simply not done yet.  Re-collecting it is always safe because
         // readings are pure functions of their coordinates.
       }
-      load_span.arg("hit", resumed);
+      load_span.arg("hit", loaded.has_value());
     }
-    if (!resumed) {
-      batches.push_back(collect_batch(machine, benchmark, all_events,
-                                      thread_acts, inv_normalizer, r,
-                                      options));
-      if (checkpointing) {
-        obs::Span write_span("campaign.checkpoint.write");
-        write_span.arg("batch", r);
-        write_text_file_atomic(
-            checkpoint_path(options.checkpoint.directory, r),
-            json::dump(batch_to_json(batches.back(), config_key, r)));
-      }
-    } else {
+    if (!loaded) {
+      data = collect_threads(machine, all_events, thread_acts, b * batch_reps,
+                             batch_reps, options);
+    }
+    collect_span.end();
+    collect_ns += collect_span.duration_ns();
+    batch_span.arg("resumed", loaded.has_value());
+    if (loaded) {
       ++out.batches_resumed;
+      batches.push_back(std::move(*loaded));
+      continue;
     }
-    batch_span.arg("resumed", resumed);
+    obs::Span median_span("stage.median_normalize");
+    batches.push_back(
+        median_normalize(std::move(data), all_events, inv_normalizer));
+    median_span.end();
+    median_ns += median_span.duration_ns();
+    if (checkpointing) {
+      obs::Span write_span("campaign.checkpoint.write");
+      write_span.arg("batch", b);
+      write_text_file_atomic(
+          checkpoint_path(options.checkpoint.directory, b),
+          json::dump(batch_to_json(batches.back(), all_events, config_key,
+                                   b)));
+    }
   }
-  collect_span.end();
-  obs::count(obs::names::kCampaignBatches, out.batches_total);
-  obs::count(obs::names::kCampaignBatchesResumed, out.batches_resumed);
-  obs::count(obs::names::kPipelineEventsMeasured, all_events.size());
+  if (checkpointing) {
+    obs::count(obs::names::kCampaignBatches, out.batches_total);
+    obs::count(obs::names::kCampaignBatchesResumed, out.batches_resumed);
+  }
+  obs::count(obs::names::kPipelineEventsMeasured, n_events);
 
   // --- merge: quarantine union, surviving events, report ---------------------
-  std::unordered_set<std::string> quarantined_set;
-  for (const auto& b : batches) {
-    for (const auto& q : b.quarantined) quarantined_set.insert(q);
+  std::vector<std::size_t> batches_kept(n_events, 0);
+  for (const Batch& b : batches) {
+    for (const std::size_t e : b.events) ++batches_kept[e];
   }
   std::vector<std::string> final_events;
-  std::vector<std::string> quarantined_ordered;
-  for (const auto& name : all_events) {
-    (quarantined_set.count(name) == 0 ? final_events : quarantined_ordered)
-        .push_back(name);
+  std::vector<std::string> quarantined;
+  std::vector<std::size_t> final_row(n_events, 0);
+  for (std::size_t e = 0; e < n_events; ++e) {
+    if (batches_kept[e] == batches.size()) {
+      final_row[e] = final_events.size();
+      final_events.push_back(all_events[e]);
+    } else {
+      quarantined.push_back(all_events[e]);
+    }
   }
-
   std::vector<std::vector<std::vector<double>>> measurements(
-      final_events.size(),
-      std::vector<std::vector<double>>(out.batches_total));
-  for (std::size_t r = 0; r < out.batches_total; ++r) {
-    std::unordered_map<std::string, std::size_t> row_of;
-    for (std::size_t e = 0; e < batches[r].events.size(); ++e) {
-      row_of[batches[r].events[e]] = e;
+      final_events.size());
+  std::optional<vpapi::CollectionReport> report;
+  for (Batch& b : batches) {
+    for (std::size_t i = 0; i < b.events.size(); ++i) {
+      const std::size_t e = b.events[i];
+      if (batches_kept[e] != batches.size()) continue;
+      auto& dst = measurements[final_row[e]];
+      if (dst.empty()) {
+        dst = std::move(b.measurements[i]);
+      } else {
+        for (auto& rep : b.measurements[i]) dst.push_back(std::move(rep));
+      }
     }
-    for (std::size_t e = 0; e < final_events.size(); ++e) {
-      const auto it = row_of.find(final_events[e]);
-      CATALYST_ENSURE(it != row_of.end(),
-                      "run_campaign: surviving event missing from a batch");
-      measurements[e][r] = batches[r].measurements[it->second];
+    if (!b.report.has_value()) continue;
+    if (!report.has_value()) {
+      report = std::move(b.report);
+    } else {
+      add_report(*report, *b.report);
     }
   }
+  if (report.has_value()) report->quarantined = quarantined;
 
-  vpapi::CollectionReport merged;
-  std::unordered_map<std::string, vpapi::EventReport> by_name;
-  for (const auto& b : batches) {
-    merge_report_into(by_name, b.report);
-    merged.total_retries += b.report.total_retries;
-    merged.start_retries += b.report.start_retries;
-  }
-  for (const auto& name : all_events) {
-    const auto it = by_name.find(name);
-    vpapi::EventReport e =
-        it != by_name.end() ? it->second : vpapi::EventReport{};
-    e.name = name;
-    e.disposition = quarantined_set.count(name) != 0
-                        ? vpapi::EventDisposition::quarantined
-                    : e.total_faults() != 0 || e.retries != 0 ||
-                            e.wraps_corrected != 0
-                        ? vpapi::EventDisposition::recovered
-                        : vpapi::EventDisposition::clean;
-    merged.events.push_back(std::move(e));
-  }
-  merged.quarantined = quarantined_ordered;
-
-  out.result = analyze_measurements(benchmark.basis.e, final_events,
-                                    std::move(measurements), signatures,
-                                    options.pipeline);
-  if (collect_span.duration_ns() > 0) {
+  out.result = analyze_measurements(
+      benchmark.basis.e, std::move(final_events), std::move(measurements),
+      signatures, options.pipeline);
+  // Collection happened before analyze_measurements built its timing list;
+  // splice the two collection-side stages in front so stage_timings reads in
+  // true pipeline order.
+  if (collect_ns > 0 || median_ns > 0) {
     out.result.stage_timings.insert(
         out.result.stage_timings.begin(),
-        obs::StageTiming{"collect", collect_span.duration_ns()});
+        {obs::StageTiming{"collect", collect_ns},
+         obs::StageTiming{"median_normalize", median_ns}});
   }
-  out.result.quarantined_events = quarantined_ordered;
-  out.result.collection = merged;
-
-  out.archive = make_archive(machine, benchmark, out.result);
-  out.archive.quarantined = quarantined_ordered;
-  out.archive.collection_report = std::move(merged);
+  out.result.quarantined_events = std::move(quarantined);
+  out.result.collection = std::move(report);
   if (sampled) {
-    out.archive.collection_mode = options.collection_mode;
-    vpapi::SampleTrace trace;
+    vpapi::SampleTrace& trace = out.result.sample_trace.emplace();
     trace.mode = options.collection_mode;
     trace.schedule = options.sample_schedule;
     trace.kernels = n_slots;
-    for (auto& b : batches) {
+    for (Batch& b : batches) {
       for (auto& run : b.traces) trace.runs.push_back(std::move(run));
     }
-    out.archive.sample_trace = std::move(trace);
-  }
-  if (!out.archive.quarantined.empty() ||
-      out.archive.collection_report.has_value() || sampled) {
-    // Let save_archive pick the v2 format marker.
-    out.archive.format_version.clear();
   }
   return out;
-}
-
-PipelineResult run_pipeline_resilient(
-    const pmu::Machine& machine, const cat::Benchmark& benchmark,
-    const std::vector<MetricSignature>& signatures,
-    const PipelineOptions& options, const faults::FaultPlan* plan,
-    const vpapi::ResilienceOptions& resilience) {
-  CampaignOptions campaign;
-  campaign.pipeline = options;
-  campaign.fault_plan = plan;
-  campaign.resilience = resilience;
-  return std::move(run_campaign(machine, benchmark, signatures, campaign)
-                       .result);
-}
-
-CampaignResult run_pipeline_sampled(
-    const pmu::Machine& machine, const cat::Benchmark& benchmark,
-    const std::vector<MetricSignature>& signatures,
-    const PipelineOptions& options, vpapi::CollectionMode mode,
-    const vpapi::SampleSchedule& schedule, faults::Clock* clock) {
-  CampaignOptions campaign;
-  campaign.pipeline = options;
-  campaign.collection_mode = mode;
-  campaign.sample_schedule = schedule;
-  campaign.sample_clock = clock;
-  return run_campaign(machine, benchmark, signatures, campaign);
 }
 
 }  // namespace catalyst::core

@@ -1,17 +1,26 @@
-// catalyst/core -- checkpointed, fault-tolerant collection campaigns.
+// catalyst/core -- the live pipeline driver: collection campaigns.
 //
-// A campaign is run_pipeline() rebuilt on the resilient collector: the
-// collection stage is split into per-repetition BATCHES, each batch is
-// collected with vpapi::collect_resilient (retry / quarantine / wrap
-// correction, see vpapi/collector.hpp) and optionally persisted as an
-// atomic JSON checkpoint, so an interrupted campaign can `--resume` from
-// the last completed batch without re-executing finished work.
+// run_campaign() is the one code path that collects live data: it runs the
+// collector once per concurrent benchmark thread, takes the thread-median
+// of every (event, repetition, slot) reading (Section IV's cache-noise
+// suppressor), normalizes per slot and hands the result to
+// analyze_measurements().  run_pipeline() is run_campaign() with default
+// options.  The options pick the rest:
+//   * collector -- vpapi::collect by default; vpapi::collect_resilient
+//     (retry / quarantine / wrap correction, see vpapi/collector.hpp) when
+//     a fault plan is passed, which also attaches its CollectionReport;
+//     vpapi::collect_sampled in the sampling/strobed modes;
+//   * checkpointing -- the repetitions are collected one BATCH at a time,
+//     each persisted as an atomic JSON checkpoint, so an interrupted
+//     campaign can `--resume` from the last completed batch without
+//     re-executing finished work.
 //
 // Bit-identity guarantees (all consequences of counter-keyed noise/faults):
-//   * faults disabled: measurements identical to run_pipeline();
-//   * interrupted + resumed: identical to the uninterrupted campaign --
-//     batch b, benchmark-thread t collects with repetition_offset
-//     b*n_threads + t, reproducing the exact run ids of one long run;
+//   * every option combination that collects the same data reads it at the
+//     same coordinates: benchmark thread t reads repetition r at repetition
+//     id r*n_threads + t, whether all repetitions come from one collector
+//     call or each batch from its own;
+//   * interrupted + resumed: identical to the uninterrupted campaign;
 //   * any worker thread count: per-unit decisions are pure functions of
 //     coordinates and the cross-batch merge is additive/set-union.
 #pragma once
@@ -22,7 +31,6 @@
 #include <vector>
 
 #include "cat/benchmark.hpp"
-#include "core/io.hpp"
 #include "core/pipeline.hpp"
 #include "faults/faults.hpp"
 #include "pmu/machine.hpp"
@@ -88,9 +96,11 @@ struct CheckpointOptions {
 /// Everything a campaign needs beyond the machine + benchmark pair.
 struct CampaignOptions {
   PipelineOptions pipeline;
-  /// Fault injection; nullptr (or a disabled plan) runs clean.  Only the
-  /// counting mode supports fault injection: the sampling collector reads
-  /// running counters on a timer and has no per-kernel retry point.
+  /// Fault injection.  nullptr runs the clean collector; any plan (even a
+  /// disabled one) runs the resilient collector and attaches its report,
+  /// which makes the archive v2.  Only the counting mode supports fault
+  /// injection: the sampling collector reads running counters on a timer
+  /// and has no per-kernel retry point.
   const faults::FaultPlan* fault_plan = nullptr;
   vpapi::ResilienceOptions resilience;
   /// Checkpointing is counting-only for now: a sampling batch's trace does
@@ -111,10 +121,12 @@ struct CampaignOptions {
 
 struct CampaignResult {
   /// Full analysis over the surviving (non-quarantined) events, with
-  /// `quarantined_events` and `collection` populated.
+  /// `quarantined_events`, `collection` (given a fault plan) and
+  /// `sample_trace` (sampling modes) populated; make_archive() turns it
+  /// into the measurement archive, v1 unless one of those adds a v2
+  /// payload.
   PipelineResult result;
-  /// v2 measurement archive of the same data, ready to save.
-  MeasurementArchive archive;
+  /// One per repetition when checkpointing, else one for all of them.
   std::size_t batches_total = 0;
   std::size_t batches_resumed = 0;  ///< Batches satisfied from checkpoints.
 };
@@ -129,36 +141,14 @@ std::string campaign_config_key(const pmu::Machine& machine,
                                 const cat::Benchmark& benchmark,
                                 const CampaignOptions& options);
 
-/// Runs the collection in per-repetition batches (checkpointing + resuming
-/// per CampaignOptions::checkpoint), merges them, and runs the analysis
-/// stages on the surviving events.  Throws std::runtime_error (via
-/// analyze_measurements) if every event ends up quarantined.
+/// Collects (checkpointing and resuming per CampaignOptions::checkpoint),
+/// merges the batches, and runs the analysis stages on the surviving
+/// events.  Polls options.pipeline.cancel before every collector call.
+/// Throws std::runtime_error (via analyze_measurements) if every event ends
+/// up quarantined.
 CampaignResult run_campaign(const pmu::Machine& machine,
                             const cat::Benchmark& benchmark,
                             const std::vector<MetricSignature>& signatures,
                             const CampaignOptions& options = {});
-
-/// run_pipeline() on the resilient collector, no checkpointing: quarantined
-/// events are dropped before the noise filter and the collection report is
-/// attached to the result.  With `plan` null/disabled this is bit-identical
-/// to run_pipeline().
-PipelineResult run_pipeline_resilient(
-    const pmu::Machine& machine, const cat::Benchmark& benchmark,
-    const std::vector<MetricSignature>& signatures,
-    const PipelineOptions& options = {},
-    const faults::FaultPlan* plan = nullptr,
-    const vpapi::ResilienceOptions& resilience = {});
-
-/// run_pipeline() on the sampling collector: measurements come from the
-/// per-phase synthesis of each run's sample trace instead of boundary
-/// reads, and the returned archive carries the mode + full trace (v2).
-/// `mode` = counting degenerates to the plain campaign (bit-identical
-/// archive to run_pipeline()).  No fault plan, no checkpointing.
-CampaignResult run_pipeline_sampled(
-    const pmu::Machine& machine, const cat::Benchmark& benchmark,
-    const std::vector<MetricSignature>& signatures,
-    const PipelineOptions& options, vpapi::CollectionMode mode,
-    const vpapi::SampleSchedule& schedule = {},
-    faults::Clock* clock = nullptr);
 
 }  // namespace catalyst::core

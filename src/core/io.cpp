@@ -32,7 +32,6 @@ MeasurementArchive make_archive(const pmu::Machine& machine,
                                 const cat::Benchmark& benchmark,
                                 const PipelineResult& result) {
   MeasurementArchive a;
-  a.format_version = kFormatVersion;
   a.machine_name = machine.name();
   a.benchmark_name = benchmark.name;
   for (const auto& slot : benchmark.slots) a.slot_names.push_back(slot.name);
@@ -40,6 +39,15 @@ MeasurementArchive make_archive(const pmu::Machine& machine,
   a.expectation = benchmark.basis.e;
   a.event_names = result.all_event_names;
   a.measurements = result.measurements;
+  a.quarantined = result.quarantined_events;
+  a.collection_report = result.collection;
+  if (result.sample_trace.has_value()) {
+    a.collection_mode = result.sample_trace->mode;
+    a.sample_trace = result.sample_trace;
+  }
+  const bool v2 = !a.quarantined.empty() || a.collection_report.has_value() ||
+                  a.sample_trace.has_value();
+  a.format_version = v2 ? kFormatVersionV2 : kFormatVersion;
   return a;
 }
 

@@ -81,8 +81,9 @@ struct MeasurementArchive {
 };
 
 /// Builds an archive from a pipeline run (uses the result's stage-1..3
-/// artifacts; the analysis stages are NOT stored -- they are recomputed on
-/// load, which is the point).
+/// artifacts and, when present, its v2 payload: quarantined events, the
+/// collection report and the sample trace; the analysis stages are NOT
+/// stored -- they are recomputed on load, which is the point).
 MeasurementArchive make_archive(const pmu::Machine& machine,
                                 const cat::Benchmark& benchmark,
                                 const PipelineResult& result);

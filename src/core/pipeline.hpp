@@ -4,7 +4,8 @@
 //
 //   1. COLLECT   all raw events over the benchmark's kernel slots via the
 //                vpapi multiplexed collector, several repetitions, one
-//                collection per concurrent benchmark thread;
+//                collection per concurrent benchmark thread (stages 1-3 run
+//                in run_campaign, core/campaign.hpp);
 //   2. MEDIAN    across threads per (event, slot, repetition) reading
 //                (Section IV's cache-noise suppressor; a no-op for
 //                single-threaded benchmarks);
@@ -38,6 +39,7 @@
 #include "obs/trace.hpp"
 #include "pmu/machine.hpp"
 #include "vpapi/collector.hpp"
+#include "vpapi/sampling.hpp"
 
 namespace catalyst::core {
 
@@ -127,7 +129,7 @@ struct PipelineOptions {
   /// Pivot rule for the event-selection QR (ablation hook; the default is
   /// the paper-faithful specialized scheme).
   PivotRule pivot_rule = PivotRule::original_score;
-  /// OS threads for the multiplexed collection stage (results are
+  /// OS threads for every collector of the collection stage (results are
   /// bit-identical for any value; see vpapi::collect).
   int collection_threads = 1;
   /// Worker threads for the analysis stages (RNMSE filter, projection
@@ -168,11 +170,15 @@ struct PipelineResult {
   // Stage 7.
   std::vector<MetricDefinition> metrics;
 
-  // Robustness artifacts (populated by the resilient collection path; empty
-  // for the clean driver).  Quarantined events were excluded BEFORE the
-  // RNMSE filter: they appear in neither all_event_names nor measurements.
+  // Robustness artifacts (populated when a campaign runs with a fault
+  // plan; empty for the clean collector).  Quarantined events were
+  // excluded BEFORE the RNMSE filter: they appear in neither
+  // all_event_names nor measurements.
   std::vector<std::string> quarantined_events;
   std::optional<vpapi::CollectionReport> collection;
+  /// Sampling/strobed campaigns only: the per-run sample traces the
+  /// measurements were reconstructed from.
+  std::optional<vpapi::SampleTrace> sample_trace;
 
   /// Per-stage wall time in pipeline order, recorded from the stages' own
   /// obs::Spans.  Empty when tracing is disabled (compile- or run-time);
@@ -185,7 +191,8 @@ struct PipelineResult {
       const std::string& event_name) const;
 };
 
-/// Runs the full pipeline.
+/// Runs the full pipeline: run_campaign() with default CampaignOptions
+/// around `options` (core/campaign.hpp).
 PipelineResult run_pipeline(const pmu::Machine& machine,
                             const cat::Benchmark& benchmark,
                             const std::vector<MetricSignature>& signatures,
@@ -199,8 +206,7 @@ PipelineResult run_pipeline(const pmu::Machine& machine,
 /// has the collection-stage fields (`all_event_names`, `measurements`)
 /// populated from the arguments.
 PipelineResult analyze_measurements(
-    const linalg::Matrix& expectation,
-    const std::vector<std::string>& event_names,
+    const linalg::Matrix& expectation, std::vector<std::string> event_names,
     std::vector<std::vector<std::vector<double>>> measurements,
     const std::vector<MetricSignature>& signatures,
     const PipelineOptions& options = {});

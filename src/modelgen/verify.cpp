@@ -144,9 +144,12 @@ RecoveryOutcome run_and_verify_sampled(const GeneratedModel& model,
                                        const vpapi::SampleSchedule& schedule,
                                        const VerifyOptions& options) {
   const pmu::Machine machine = model.machine();
-  const core::CampaignResult campaign = core::run_pipeline_sampled(
-      machine, model.benchmark, model.signatures, model.options, mode,
-      schedule);
+  core::CampaignOptions collection;
+  collection.pipeline = model.options;
+  collection.collection_mode = mode;
+  collection.sample_schedule = schedule;
+  const core::CampaignResult campaign = core::run_campaign(
+      machine, model.benchmark, model.signatures, collection);
   VerifyOptions adjusted = options;
   if (adjusted.truth_tol <= 0.0 && mode != vpapi::CollectionMode::counting) {
     // Sampled measurements carry a KNOWN phase-attribution bias: a kernel

@@ -126,12 +126,19 @@ std::vector<std::size_t> resolve_events(
 
 }  // namespace
 
+std::vector<std::size_t> repetition_ids(std::size_t count, std::size_t first,
+                                        std::size_t stride) {
+  std::vector<std::size_t> ids(count);
+  for (std::size_t i = 0; i < count; ++i) ids[i] = first + i * stride;
+  return ids;
+}
+
 CollectionResult collect(const pmu::Machine& machine,
                          const std::vector<std::string>& event_names,
                          const std::vector<pmu::Activity>& activities,
-                         std::size_t repetitions, int threads,
-                         const faults::FaultPlan* plan) {
-  CATALYST_REQUIRE_AS(repetitions != 0, std::invalid_argument,
+                         const std::vector<std::size_t>& repetitions,
+                         int threads, const faults::FaultPlan* plan) {
+  CATALYST_REQUIRE_AS(!repetitions.empty(), std::invalid_argument,
                       "collect: need at least one repetition");
   CATALYST_REQUIRE_AS(threads >= 1, std::invalid_argument,
                       "collect: need at least one thread");
@@ -155,25 +162,25 @@ CollectionResult collect(const pmu::Machine& machine,
   const std::vector<std::vector<std::size_t>> group_rows =
       schedule_rows(schedule, event_names);
 
-  result.repetitions.resize(repetitions);
+  result.repetitions.resize(repetitions.size());
   for (auto& rep : result.repetitions) {
     rep.values.resize(event_names.size());
   }
 
   obs::Span collect_span("vpapi.collect");
   collect_span.arg("events", event_names.size());
-  collect_span.arg("repetitions", repetitions);
+  collect_span.arg("repetitions", repetitions.size());
   collect_span.arg("groups", groups.size());
 
   // Work list: all (repetition, group) units; each writes a disjoint slice
   // of the result, so workers need no synchronization beyond the cursor.
-  const std::size_t total_units = repetitions * groups.size();
+  const std::size_t total_units = repetitions.size() * groups.size();
   auto do_unit = [&](std::size_t unit) {
     const std::size_t rep = unit / groups.size();
     const std::size_t g = unit % groups.size();
-    const std::uint64_t run_id = rep * groups.size() + g;
+    const std::uint64_t run_id = repetitions[rep] * groups.size() + g;
     obs::Span unit_span("collect.unit");
-    unit_span.arg("rep", rep);
+    unit_span.arg("rep", repetitions[rep]);
     unit_span.arg("group", g);
     run_unit(machine, groups[g].events, activities, ideals, run_id,
              group_rows[g], result.repetitions[rep], plan);
@@ -189,13 +196,6 @@ CollectionResult collect(const pmu::Machine& machine,
     throw;
   }
   return result;
-}
-
-CollectionResult collect_all(const pmu::Machine& machine,
-                             const std::vector<pmu::Activity>& activities,
-                             std::size_t repetitions, int threads) {
-  return collect(machine, machine.event_names(), activities, repetitions,
-                 threads);
 }
 
 // --- resilient collection ---------------------------------------------------
@@ -470,12 +470,12 @@ UnitOutcome run_unit_resilient(const pmu::Machine& machine,
 
 ResilientCollectionResult collect_resilient(
     const pmu::Machine& machine, const std::vector<std::string>& event_names,
-    const std::vector<pmu::Activity>& activities, std::size_t repetitions,
-    const faults::FaultPlan* plan, const ResilienceOptions& options,
-    std::size_t repetition_offset) {
-  CATALYST_REQUIRE_AS(repetitions != 0, std::invalid_argument,
+    const std::vector<pmu::Activity>& activities,
+    const std::vector<std::size_t>& repetitions, int threads,
+    const faults::FaultPlan* plan, const ResilienceOptions& options) {
+  CATALYST_REQUIRE_AS(!repetitions.empty(), std::invalid_argument,
                       "collect_resilient: need at least one repetition");
-  CATALYST_REQUIRE_AS(options.threads >= 1, std::invalid_argument,
+  CATALYST_REQUIRE_AS(threads >= 1, std::invalid_argument,
                       "collect_resilient: need at least one thread");
   const std::vector<std::size_t> event_indices =
       resolve_events(machine, event_names, "collect_resilient");
@@ -485,7 +485,7 @@ ResilientCollectionResult collect_resilient(
 
   obs::Span collect_span("vpapi.collect_resilient");
   collect_span.arg("events", event_names.size());
-  collect_span.arg("repetitions", repetitions);
+  collect_span.arg("repetitions", repetitions.size());
   collect_span.arg("groups", groups.size());
   collect_span.arg("faults", plan != nullptr && plan->enabled());
 
@@ -535,13 +535,12 @@ ResilientCollectionResult collect_resilient(
       report.start_retries += out.start_retries;
       report.total_retries += out.total_retries;
     }
-  } merge(event_names, repetitions);
+  } merge(event_names, repetitions.size());
 
   auto do_unit = [&](std::size_t unit) {
     const std::size_t rep = unit / groups.size();
     const std::size_t g = unit % groups.size();
-    const std::uint64_t run_id =
-        (repetition_offset + rep) * groups.size() + g;
+    const std::uint64_t run_id = repetitions[rep] * groups.size() + g;
     UnitOutcome out = run_unit_resilient(machine, groups[g].events,
                                          activities, ideals, run_id, plan,
                                          options);
@@ -549,8 +548,8 @@ ResilientCollectionResult collect_resilient(
     merge.merge_unit(group_rows[g], rep, std::move(out));
   };
 
-  const std::size_t total_units = repetitions * groups.size();
-  core::parallel_for(total_units, options.threads, do_unit);
+  const std::size_t total_units = repetitions.size() * groups.size();
+  core::parallel_for(total_units, threads, do_unit);
 
   // Single-threaded from here (workers joined); move the merged state out
   // under the lock so the analysis stays exact.
@@ -606,8 +605,8 @@ ResilientCollectionResult collect_resilient(
   for (std::size_t e = 0; e < event_names.size(); ++e) {
     if (quarantined[e] == 0) result.data.event_names.push_back(event_names[e]);
   }
-  result.data.repetitions.resize(repetitions);
-  for (std::size_t r = 0; r < repetitions; ++r) {
+  result.data.repetitions.resize(repetitions.size());
+  for (std::size_t r = 0; r < repetitions.size(); ++r) {
     auto& dst = result.data.repetitions[r].values;
     dst.reserve(result.data.event_names.size());
     for (std::size_t e = 0; e < event_names.size(); ++e) {

@@ -39,10 +39,23 @@ struct CollectionResult {
 std::vector<std::vector<std::string>> schedule_groups(
     const pmu::Machine& machine, const std::vector<std::string>& event_names);
 
-/// Measures every named event over the kernel sequence `activities`,
-/// `repetitions` times, multiplexing event groups across re-runs of the
-/// whole sequence.  Each (repetition, group) pair is a distinct run and so
-/// sees distinct noise; kernel slots within a run share the run.
+/// The repetition ids {first, first + stride, ..., first + (count-1)*stride}.
+/// A plain sweep of n repetitions is repetition_ids(n); a campaign's
+/// benchmark thread t of n_threads collects repetition_ids(reps, t,
+/// n_threads), so no two (repetition, thread) pairs share a noise coordinate.
+std::vector<std::size_t> repetition_ids(std::size_t count,
+                                        std::size_t first = 0,
+                                        std::size_t stride = 1);
+
+/// Measures every named event over the kernel sequence `activities` once
+/// per entry of `repetitions`, multiplexing event groups across re-runs of
+/// the whole sequence.  `repetitions` lists absolute repetition ids in
+/// output order: result.repetitions[i] is read by runs
+/// repetitions[i] * runs_per_repetition + g, one per group g.  Each
+/// (repetition, group) pair is a distinct run and so sees distinct noise;
+/// kernel slots within a run share the run.  Because ids are absolute, a
+/// sweep split across several calls (a checkpointed campaign collecting one
+/// batch at a time) reads exactly what one long call would.
 ///
 /// `threads` > 1 simulates the independent (repetition, group) runs
 /// concurrently on that many OS threads.  Because every reading's noise is
@@ -63,13 +76,9 @@ std::vector<std::vector<std::string>> schedule_groups(
 CollectionResult collect(const pmu::Machine& machine,
                          const std::vector<std::string>& event_names,
                          const std::vector<pmu::Activity>& activities,
-                         std::size_t repetitions, int threads = 1,
+                         const std::vector<std::size_t>& repetitions,
+                         int threads = 1,
                          const faults::FaultPlan* plan = nullptr);
-
-/// Convenience: collect() over all events of the machine.
-CollectionResult collect_all(const pmu::Machine& machine,
-                             const std::vector<pmu::Activity>& activities,
-                             std::size_t repetitions, int threads = 1);
 
 /// The alternative CAT deliberately avoids: ONE time-division-multiplexed
 /// event set holding every event, one benchmark run per repetition.  Far
@@ -139,7 +148,6 @@ struct ResilienceOptions {
   /// the CLI installs a RealClock for real campaigns.  Never sleep via
   /// std::this_thread directly (catalyst-lint: sleep-in-retry).
   faults::Clock* clock = nullptr;
-  int threads = 1;  ///< Worker threads over (repetition, group) units.
 };
 
 /// collect() + the recovery machinery above.
@@ -149,20 +157,16 @@ struct ResilientCollectionResult {
   CollectionReport report;
 };
 
-/// Resilient counterpart of collect().  With `plan` null or disabled the
-/// returned data is bit-identical to collect(machine, event_names,
-/// activities, repetitions) -- the recovery machinery only reacts to
-/// injected faults, and readings are pure functions of their coordinates.
-///
-/// `repetition_offset` shifts the absolute repetition indices: batch b of a
-/// checkpointed campaign passes its global first-repetition index so that
-/// run ids -- and therefore noise and fault draws -- are bit-identical to
-/// an uninterrupted campaign (see core/io.hpp checkpointing).
+/// Resilient counterpart of collect(), with the same repetition ids and
+/// worker threads.  With `plan` null or disabled the returned data is
+/// bit-identical to collect(machine, event_names, activities, repetitions)
+/// -- the recovery machinery only reacts to injected faults, and readings
+/// are pure functions of their coordinates.
 ResilientCollectionResult collect_resilient(
     const pmu::Machine& machine, const std::vector<std::string>& event_names,
-    const std::vector<pmu::Activity>& activities, std::size_t repetitions,
+    const std::vector<pmu::Activity>& activities,
+    const std::vector<std::size_t>& repetitions, int threads = 1,
     const faults::FaultPlan* plan = nullptr,
-    const ResilienceOptions& options = {},
-    std::size_t repetition_offset = 0);
+    const ResilienceOptions& options = {});
 
 }  // namespace catalyst::vpapi

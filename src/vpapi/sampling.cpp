@@ -140,10 +140,11 @@ std::vector<std::vector<double>> reconstruct_run_phases(
 
 SampledCollectionResult collect_sampled(
     const pmu::Machine& machine, const std::vector<std::string>& event_names,
-    const std::vector<pmu::Activity>& activities, std::size_t repetitions,
+    const std::vector<pmu::Activity>& activities,
+    const std::vector<std::size_t>& repetitions,
     CollectionMode mode, const SampleSchedule& schedule, int threads,
-    faults::Clock* clock, std::size_t repetition_offset) {
-  CATALYST_REQUIRE_AS(repetitions != 0, std::invalid_argument,
+    faults::Clock* clock) {
+  CATALYST_REQUIRE_AS(!repetitions.empty(), std::invalid_argument,
                       "collect_sampled: need at least one repetition");
   CATALYST_REQUIRE_AS(threads >= 1, std::invalid_argument,
                       "collect_sampled: need at least one thread");
@@ -184,23 +185,22 @@ SampledCollectionResult collect_sampled(
 
   result.data.event_names = event_names;
   result.data.runs_per_repetition = n_groups;
-  result.data.repetitions.resize(repetitions);
+  result.data.repetitions.resize(repetitions.size());
   for (auto& rep : result.data.repetitions) {
     rep.values.resize(event_names.size());
   }
-  result.trace.runs.resize(repetitions * n_groups);
+  result.trace.runs.resize(repetitions.size() * n_groups);
 
   obs::Span collect_span("vpapi.collect_sampled");
   collect_span.arg("mode", to_string(mode));
   collect_span.arg("events", event_names.size());
-  collect_span.arg("repetitions", repetitions);
+  collect_span.arg("repetitions", repetitions.size());
   collect_span.arg("groups", n_groups);
 
   auto do_unit = [&](std::size_t unit) {
     const std::size_t rep = unit / n_groups;
     const std::size_t g = unit % n_groups;
-    const std::uint64_t run_id =
-        (repetition_offset + rep) * n_groups + g;
+    const std::uint64_t run_id = repetitions[rep] * n_groups + g;
     const std::vector<std::string>& members = sched.runs[g].events;
     const std::size_t n = members.size();
 
@@ -233,7 +233,7 @@ SampledCollectionResult collect_sampled(
     }
 
     RunTrace trace;
-    trace.repetition = repetition_offset + rep;
+    trace.repetition = repetitions[rep];
     trace.run_id = run_id;
     trace.events = members;
     const std::uint64_t offset =
@@ -275,7 +275,7 @@ SampledCollectionResult collect_sampled(
   };
 
   try {
-    core::parallel_for(repetitions * n_groups, threads, do_unit);
+    core::parallel_for(repetitions.size() * n_groups, threads, do_unit);
   } catch (...) {
     // As in collect(): no partial sweep data outlives a worker failure.
     result.data.repetitions.clear();

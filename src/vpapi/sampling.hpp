@@ -133,16 +133,16 @@ struct SampledCollectionResult {
   SampleTrace trace;
 };
 
-/// Measures `event_names` over `activities` x `repetitions` in the given
-/// mode.  counting delegates to collect() (empty trace).  `clock` paces
-/// virtual time for real campaigns (one sleep per kernel span); nullptr
-/// skips pacing -- values never depend on the clock.  `repetition_offset`
-/// shifts run ids exactly like collect_resilient's, so checkpointed
-/// sampling campaigns resume bit-identically.
+/// Measures `event_names` over `activities` once per repetition id in
+/// `repetitions` (absolute ids, as in collect()) in the given mode.
+/// counting delegates to collect() (empty trace).  `clock` paces virtual
+/// time for real campaigns (one sleep per kernel span); nullptr skips
+/// pacing -- values never depend on the clock.
 SampledCollectionResult collect_sampled(
     const pmu::Machine& machine, const std::vector<std::string>& event_names,
-    const std::vector<pmu::Activity>& activities, std::size_t repetitions,
-    CollectionMode mode, const SampleSchedule& schedule = {}, int threads = 1,
-    faults::Clock* clock = nullptr, std::size_t repetition_offset = 0);
+    const std::vector<pmu::Activity>& activities,
+    const std::vector<std::size_t>& repetitions, CollectionMode mode,
+    const SampleSchedule& schedule = {}, int threads = 1,
+    faults::Clock* clock = nullptr);
 
 }  // namespace catalyst::vpapi

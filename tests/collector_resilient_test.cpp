@@ -47,9 +47,10 @@ void expect_identical_values(const CollectionResult& a,
 
 TEST(CollectResilient, CleanPathBitIdenticalToCollect) {
   const auto m = fault_machine();
-  const auto plain = collect(m, kEvents, kActs, 3);
+  const auto plain = collect(m, kEvents, kActs, repetition_ids(3));
   const auto resilient =
-      collect_resilient(m, kEvents, kActs, 3, /*plan=*/nullptr);
+      collect_resilient(m, kEvents, kActs, repetition_ids(3), 1,
+                        /*plan=*/nullptr);
   expect_identical_values(plain, resilient.data);
   EXPECT_EQ(resilient.report.total_retries, 0u);
   EXPECT_EQ(resilient.report.quarantined.size(), 0u);
@@ -61,8 +62,9 @@ TEST(CollectResilient, CleanPathBitIdenticalToCollect) {
 TEST(CollectResilient, DisabledPlanAlsoBitIdentical) {
   const auto m = fault_machine();
   const faults::FaultPlan off;  // all rates zero
-  const auto plain = collect(m, kEvents, kActs, 2);
-  const auto resilient = collect_resilient(m, kEvents, kActs, 2, &off);
+  const auto plain = collect(m, kEvents, kActs, repetition_ids(2));
+  const auto resilient = collect_resilient(m, kEvents, kActs,
+                                         repetition_ids(2), 1, &off);
   expect_identical_values(plain, resilient.data);
 }
 
@@ -72,9 +74,10 @@ TEST(CollectResilient, MidRateFaultsRecoverExactValues) {
   // (event, run, kernel) -- so recovery reproduces the CLEAN data exactly,
   // not approximately.
   const auto m = fault_machine();
-  const auto clean = collect(m, kEvents, kActs, 3);
+  const auto clean = collect(m, kEvents, kActs, repetition_ids(3));
   const auto plan = mid_plan();
-  const auto resilient = collect_resilient(m, kEvents, kActs, 3, &plan);
+  const auto resilient = collect_resilient(m, kEvents, kActs,
+                                         repetition_ids(3), 1, &plan);
   ASSERT_TRUE(resilient.report.quarantined.empty())
       << "mid-rate faults must never exhaust 8 retries";
   expect_identical_values(clean, resilient.data);
@@ -88,11 +91,11 @@ TEST(CollectResilient, UnrecoverableEventIsQuarantined) {
   cursed.dropped_reading = 1.0;  // every read attempt fails, forever
   plan.per_event["C"] = cursed;
 
-  const auto clean = collect(m, kEvents, kActs, 2);
+  const auto clean = collect(m, kEvents, kActs, repetition_ids(2));
   ResilienceOptions options;
   options.max_retries = 3;
-  const auto resilient = collect_resilient(m, kEvents, kActs, 2, &plan,
-                                           options);
+  const auto resilient = collect_resilient(
+      m, kEvents, kActs, repetition_ids(2), 1, &plan, options);
 
   ASSERT_EQ(resilient.report.quarantined,
             std::vector<std::string>({"C"}));
@@ -126,12 +129,10 @@ TEST(CollectResilient, ThreadCountInvariance) {
   plan.rates.dropped_reading = 0.2;  // plenty of retries to merge
   plan.rates.wrap = 0.05;
 
-  ResilienceOptions serial;
-  serial.threads = 1;
-  ResilienceOptions parallel;
-  parallel.threads = 4;
-  const auto a = collect_resilient(m, kEvents, kActs, 4, &plan, serial);
-  const auto b = collect_resilient(m, kEvents, kActs, 4, &plan, parallel);
+  const auto a =
+      collect_resilient(m, kEvents, kActs, repetition_ids(4), 1, &plan);
+  const auto b =
+      collect_resilient(m, kEvents, kActs, repetition_ids(4), 4, &plan);
 
   expect_identical_values(a.data, b.data);
   EXPECT_EQ(a.report.total_retries, b.report.total_retries);
@@ -157,7 +158,8 @@ TEST(CollectResilient, BackoffGoesThroughTheInjectableClock) {
   faults::FakeClock clock;
   ResilienceOptions options;
   options.clock = &clock;
-  const auto result = collect_resilient(m, kEvents, kActs, 3, &plan, options);
+  const auto result = collect_resilient(m, kEvents, kActs, repetition_ids(3),
+                                        1, &plan, options);
   EXPECT_GT(result.report.total_retries, 0u);
   // Every retry paid a backoff delay through the clock; no wall time was
   // spent (this test completes instantly).
@@ -180,12 +182,10 @@ TEST(CollectResilient, StressManyWorkersManyFaults) {
   plan.rates.spike = 0.05;
   plan.rates.start_busy = 0.1;
 
-  ResilienceOptions serial;
-  serial.threads = 1;
-  ResilienceOptions stress;
-  stress.threads = 8;
-  const auto a = collect_resilient(m, kEvents, kActs, 6, &plan, serial);
-  const auto b = collect_resilient(m, kEvents, kActs, 6, &plan, stress);
+  const auto a =
+      collect_resilient(m, kEvents, kActs, repetition_ids(6), 1, &plan);
+  const auto b =
+      collect_resilient(m, kEvents, kActs, repetition_ids(6), 8, &plan);
   expect_identical_values(a.data, b.data);
   EXPECT_EQ(a.report.quarantined, b.report.quarantined);
   EXPECT_EQ(a.report.total_retries, b.report.total_retries);
@@ -201,21 +201,23 @@ TEST(Collect, NonResilientDriverFailsLoudlyOnFaults) {
   faults::FaultRates cursed;
   cursed.dropped_reading = 1.0;
   plan.per_event["A"] = cursed;
-  EXPECT_THROW(collect(m, kEvents, kActs, 2, 1, &plan), std::runtime_error);
+  EXPECT_THROW(collect(m, kEvents, kActs, repetition_ids(2), 1, &plan),
+               std::runtime_error);
   // Multi-threaded: worker exceptions surface on the caller, partial
   // output is discarded (no torn rows escape).
-  EXPECT_THROW(collect(m, kEvents, kActs, 2, 4, &plan), std::runtime_error);
+  EXPECT_THROW(collect(m, kEvents, kActs, repetition_ids(2), 4, &plan),
+               std::runtime_error);
 }
 
 TEST(CollectResilient, RepetitionOffsetMatchesUninterruptedRun) {
   // The checkpointing contract: collecting repetitions [0, 4) in one call
-  // equals collecting them one at a time with the matching offset.
+  // equals collecting them one at a time by their absolute ids.
   const auto m = fault_machine();
   const auto plan = mid_plan();
-  const auto whole = collect_resilient(m, kEvents, kActs, 4, &plan);
+  const auto whole =
+      collect_resilient(m, kEvents, kActs, repetition_ids(4), 1, &plan);
   for (std::size_t r = 0; r < 4; ++r) {
-    const auto one =
-        collect_resilient(m, kEvents, kActs, 1, &plan, {}, /*offset=*/r);
+    const auto one = collect_resilient(m, kEvents, kActs, {r}, 1, &plan);
     ASSERT_EQ(one.data.repetitions.size(), 1u);
     ASSERT_EQ(one.data.event_names, whole.data.event_names);
     EXPECT_EQ(one.data.repetitions[0].values,

@@ -172,8 +172,10 @@ TEST(CollectorDeterminism, SingleAndMultiThreadedResultsAreBitIdentical) {
   const std::vector<pmu::Activity> acts{
       {{pmu::sig::cycles, 1e6}, {pmu::sig::instructions, 2e6}},
       {{pmu::sig::cycles, 3e6}, {pmu::sig::uops, 4e6}}};
-  const auto serial = vpapi::collect(m, names, acts, 3, /*threads=*/1);
-  const auto threaded = vpapi::collect(m, names, acts, 3, /*threads=*/4);
+  const auto serial = vpapi::collect(m, names, acts, vpapi::repetition_ids(3),
+                                     /*threads=*/1);
+  const auto threaded = vpapi::collect(m, names, acts, vpapi::repetition_ids(3),
+                                       /*threads=*/4);
   ASSERT_EQ(serial.repetitions.size(), threaded.repetitions.size());
   EXPECT_EQ(serial.event_names, threaded.event_names);
   EXPECT_EQ(serial.runs_per_repetition, threaded.runs_per_repetition);
@@ -191,7 +193,8 @@ TEST(CollectorExceptions, WorkerThrowPropagatesToCaller) {
   m.add_event({"A", "", {{"x", 1.0}}, {}});
   const std::vector<pmu::Activity> acts{{{"x", 1.0}}};
   EXPECT_THROW(
-      vpapi::collect(m, {"A", "A"}, acts, /*repetitions=*/8, /*threads=*/4),
+      vpapi::collect(m, {"A", "A"}, acts, vpapi::repetition_ids(8),
+                     /*threads=*/4),
       std::runtime_error);
 }
 

@@ -6,11 +6,13 @@
 
 #include <gtest/gtest.h>
 
+#include <filesystem>
 #include <set>
 #include <string>
 #include <vector>
 
 #include "cat/cat.hpp"
+#include "core/campaign.hpp"
 #include "core/report.hpp"
 #include "core/signatures.hpp"
 #include "faults/faults.hpp"
@@ -18,6 +20,7 @@
 #include "obs/trace.hpp"
 #include "pmu/pmu.hpp"
 #include "vpapi/collector.hpp"
+#include "vpapi/scheduler.hpp"
 
 namespace catalyst {
 namespace {
@@ -142,7 +145,8 @@ TEST_F(ObsPipelineTest, RetryAndBackoffSpansAppearUnderFaults) {
   vpapi::ResilienceOptions opts;
   opts.clock = &clock;  // pacing through the injectable clock -> backoff spans
   const auto out =
-      vpapi::collect_resilient(m, events, acts, 3, &plan, opts);
+      vpapi::collect_resilient(m, events, acts, vpapi::repetition_ids(3), 1,
+                               &plan, opts);
   obs::Tracer::instance().enable(false);
 
   ASSERT_GT(out.report.total_retries, 0u) << "plan injected no faults";
@@ -166,6 +170,99 @@ TEST_F(ObsPipelineTest, RetryAndBackoffSpansAppearUnderFaults) {
   }
   EXPECT_GT(retry_spans, 0u);
   EXPECT_LE(retry_spans, out.report.total_retries);
+}
+
+/// The collect.unit spans recorded so far.
+std::vector<obs::SpanRecord> unit_spans() {
+  std::vector<obs::SpanRecord> units;
+  for (const auto& rec : obs::Tracer::instance().buffer().snapshot()) {
+    if (std::string(rec.name) == "collect.unit") units.push_back(rec);
+  }
+  return units;
+}
+
+TEST_F(ObsPipelineTest, MultiThreadedBenchmarkCollectsEachRepetitionOnce) {
+  // Each benchmark thread sweeps the event groups once per repetition:
+  // reps x threads x runs_per_repetition units in all, none read and
+  // thrown away.
+  const pmu::Machine machine = pmu::saphira_cpu();
+  cat::DcacheOptions chase;
+  chase.threads = 3;
+  const cat::Benchmark bench = cat::dcache_benchmark(chase);
+  core::PipelineOptions options;
+  options.tau = 1e-1;
+  options.alpha = 5e-2;
+  obs::Tracer::instance().enable(true);
+  core::run_pipeline(machine, bench, core::dcache_signatures(), options);
+  obs::Tracer::instance().enable(false);
+
+  const std::size_t runs_per_repetition =
+      vpapi::schedule_event_sets(machine, machine.event_names()).runs.size();
+  EXPECT_EQ(unit_spans().size(),
+            options.repetitions * chase.threads * runs_per_repetition);
+}
+
+TEST_F(ObsPipelineTest, CollectionThreadsDriveEveryCollector) {
+  // collection_threads > 1 hands every unit to a worker pool: no unit runs
+  // on the calling thread, and the checkpointed campaign's three collector
+  // calls (one per batch) each start a pool of fresh threads.  With one
+  // thread every unit runs on the caller.  Checked for the clean and the
+  // resilient collector alike.
+  const faults::FaultPlan idle;
+  const std::vector<const faults::FaultPlan*> plans = {nullptr, &idle};
+  for (const faults::FaultPlan* plan : plans) {
+    for (const int workers : {1, 4}) {
+      SCOPED_TRACE(std::string(plan ? "resilient" : "clean") + ", threads " +
+                   std::to_string(workers));
+      obs::Tracer::instance().reset();
+      core::CampaignOptions campaign;
+      campaign.pipeline.collection_threads = workers;
+      campaign.fault_plan = plan;
+      campaign.checkpoint.directory =
+          ::testing::TempDir() + "/collection_threads_" +
+          std::to_string(workers) + (plan ? "_resilient" : "_clean");
+      std::filesystem::remove_all(campaign.checkpoint.directory);
+      obs::Tracer::instance().enable(true);
+      core::run_campaign(pmu::saphira_cpu(), cat::branch_benchmark(),
+                         core::branch_signatures(), campaign);
+      obs::Tracer::instance().enable(false);
+      std::filesystem::remove_all(campaign.checkpoint.directory);
+
+      const std::uint32_t caller = obs::this_thread_id();
+      std::set<std::uint32_t> threads;
+      for (const auto& rec : unit_spans()) threads.insert(rec.thread_id);
+      if (workers == 1) {
+        EXPECT_EQ(threads, std::set<std::uint32_t>{caller});
+      } else {
+        EXPECT_GT(threads.size(), 1u);
+        EXPECT_EQ(threads.count(caller), 0u);
+      }
+    }
+  }
+}
+
+TEST_F(ObsPipelineTest, CancelledCampaignCollectsNothing) {
+  // The token is polled before every collector call, so a campaign that is
+  // already cancelled stops before its first unit -- checkpointed or not.
+  core::CancelToken cancel;
+  cancel.request_cancel();
+  for (const bool checkpointing : {false, true}) {
+    SCOPED_TRACE(checkpointing ? "checkpointed" : "uncheckpointed");
+    obs::Tracer::instance().reset();
+    core::CampaignOptions campaign;
+    campaign.pipeline.cancel = &cancel;
+    if (checkpointing) {
+      campaign.checkpoint.directory =
+          ::testing::TempDir() + "/cancelled_campaign";
+    }
+    obs::Tracer::instance().enable(true);
+    EXPECT_THROW(core::run_campaign(pmu::saphira_cpu(),
+                                    cat::branch_benchmark(),
+                                    core::branch_signatures(), campaign),
+                 core::PipelineCancelled);
+    obs::Tracer::instance().enable(false);
+    EXPECT_TRUE(unit_spans().empty());
+  }
 }
 
 #endif  // !CATALYST_OBS_DISABLED

@@ -171,9 +171,9 @@ TEST(Reconstruct, RejectsMalformedTraces) {
 TEST(CollectSampled, CountingModeDelegatesBitIdentically) {
   const auto m = sampling_machine();
   const auto acts = bursty_kernels(5);
-  const auto counted = collect(m, six_events(), acts, 3);
-  const auto sampled = collect_sampled(m, six_events(), acts, 3,
-                                       CollectionMode::counting);
+  const auto counted = collect(m, six_events(), acts, repetition_ids(3));
+  const auto sampled = collect_sampled(
+      m, six_events(), acts, repetition_ids(3), CollectionMode::counting);
   ASSERT_EQ(sampled.data.repetitions.size(), counted.repetitions.size());
   for (std::size_t r = 0; r < counted.repetitions.size(); ++r) {
     EXPECT_EQ(sampled.data.repetitions[r].values,
@@ -193,9 +193,9 @@ TEST(CollectSampled, DividingPeriodReconstructsCountingExactly) {
   const auto acts = bursty_kernels(5);
   SampleSchedule s;  // period 250us divides the 1ms span
   s.dither = false;
-  const auto counted = collect(m, six_events(), acts, 2);
-  const auto sampled = collect_sampled(m, six_events(), acts, 2,
-                                       CollectionMode::sampling, s);
+  const auto counted = collect(m, six_events(), acts, repetition_ids(2));
+  const auto sampled = collect_sampled(
+      m, six_events(), acts, repetition_ids(2), CollectionMode::sampling, s);
   ASSERT_EQ(sampled.data.repetitions.size(), 2u);
   for (std::size_t r = 0; r < 2; ++r) {
     EXPECT_EQ(sampled.data.repetitions[r].values,
@@ -210,14 +210,14 @@ TEST(CollectSampled, ClosingSampleAnchorsRunTotalsExactly) {
   // smeared.
   const auto m = sampling_machine();
   const auto acts = bursty_kernels(7);
-  const auto counted = collect(m, six_events(), acts, 2);
+  const auto counted = collect(m, six_events(), acts, repetition_ids(2));
   SampleSchedule coarse;
   coarse.period_ns = 3'300'000;  // > 3 kernel spans, deliberately unaligned
   coarse.short_period_ns = 700'000;
   for (const CollectionMode mode :
        {CollectionMode::sampling, CollectionMode::strobed}) {
-    const auto sampled =
-        collect_sampled(m, six_events(), acts, 2, mode, coarse);
+    const auto sampled = collect_sampled(m, six_events(), acts,
+                                         repetition_ids(2), mode, coarse);
     for (std::size_t r = 0; r < 2; ++r) {
       for (std::size_t e = 0; e < six_events().size(); ++e) {
         double truth = 0.0, est = 0.0;
@@ -241,8 +241,10 @@ TEST(CollectSampled, ByteIdenticalAcrossThreadCounts) {
   SampleSchedule s;  // dither on: the offsets must reproduce too
   for (const CollectionMode mode :
        {CollectionMode::sampling, CollectionMode::strobed}) {
-    const auto one = collect_sampled(m, six_events(), acts, 4, mode, s, 1);
-    const auto four = collect_sampled(m, six_events(), acts, 4, mode, s, 4);
+    const auto one =
+        collect_sampled(m, six_events(), acts, repetition_ids(4), mode, s, 1);
+    const auto four =
+        collect_sampled(m, six_events(), acts, repetition_ids(4), mode, s, 4);
     ASSERT_EQ(one.data.repetitions.size(), four.data.repetitions.size());
     for (std::size_t r = 0; r < one.data.repetitions.size(); ++r) {
       EXPECT_EQ(one.data.repetitions[r].values,
@@ -267,7 +269,8 @@ TEST(CollectSampled, ByteIdenticalAcrossThreadCounts) {
 TEST(CollectSampled, TraceOrderedByRepetitionThenRun) {
   const auto m = sampling_machine();
   const auto acts = bursty_kernels(4);
-  const auto sampled = collect_sampled(m, six_events(), acts, 3,
+  const auto sampled = collect_sampled(m, six_events(), acts,
+                                       repetition_ids(3),
                                        CollectionMode::sampling, {}, 4);
   const auto sched = schedule_event_sets(m, six_events());
   const std::size_t n_groups = sched.runs.size();
@@ -285,16 +288,16 @@ TEST(CollectSampled, TraceOrderedByRepetitionThenRun) {
 }
 
 TEST(CollectSampled, RepetitionOffsetShiftsRunIds) {
-  // Batch resume: offset r shifts the run-id noise coordinates exactly like
-  // collect_resilient's repetition_offset, so a resumed sampling campaign
-  // is bit-identical to an uninterrupted one.
+  // Batch resume: repetition id r reads the run-id noise coordinates of
+  // repetition r of an uninterrupted sweep, exactly like collect_resilient,
+  // so a resumed sampling campaign is bit-identical to an uninterrupted one.
   const auto m = sampling_machine();
   const auto acts = bursty_kernels(4);
   SampleSchedule s;
-  const auto whole = collect_sampled(m, six_events(), acts, 2,
-                                     CollectionMode::strobed, s);
-  const auto tail = collect_sampled(m, six_events(), acts, 1,
-                                    CollectionMode::strobed, s, 1, nullptr, 1);
+  const auto whole = collect_sampled(
+      m, six_events(), acts, repetition_ids(2), CollectionMode::strobed, s);
+  const auto tail =
+      collect_sampled(m, six_events(), acts, {1}, CollectionMode::strobed, s);
   EXPECT_EQ(tail.data.repetitions[0].values, whole.data.repetitions[1].values);
   const std::size_t n_groups = whole.trace.runs.size() / 2;
   for (std::size_t g = 0; g < n_groups; ++g) {
@@ -308,8 +311,9 @@ TEST(CollectSampled, FakeClockPacesOneSleepPerKernelSpan) {
   const auto acts = bursty_kernels(5);
   SampleSchedule s;
   faults::FakeClock clock;
-  const auto paced = collect_sampled(m, six_events(), acts, 2,
-                                     CollectionMode::sampling, s, 1, &clock);
+  const auto paced =
+      collect_sampled(m, six_events(), acts, repetition_ids(2),
+                      CollectionMode::sampling, s, 1, &clock);
   const auto sched = schedule_event_sets(m, six_events());
   const std::size_t expected_sleeps = 2 * sched.runs.size() * acts.size();
   ASSERT_EQ(clock.delays().size(), expected_sleeps);
@@ -317,8 +321,8 @@ TEST(CollectSampled, FakeClockPacesOneSleepPerKernelSpan) {
     EXPECT_EQ(d, std::chrono::nanoseconds(s.kernel_span_ns));
   }
   // Pacing never touches the data: unpaced collection is identical.
-  const auto unpaced = collect_sampled(m, six_events(), acts, 2,
-                                       CollectionMode::sampling, s);
+  const auto unpaced = collect_sampled(
+      m, six_events(), acts, repetition_ids(2), CollectionMode::sampling, s);
   for (std::size_t r = 0; r < 2; ++r) {
     EXPECT_EQ(paced.data.repetitions[r].values,
               unpaced.data.repetitions[r].values);
@@ -328,21 +332,21 @@ TEST(CollectSampled, FakeClockPacesOneSleepPerKernelSpan) {
 TEST(CollectSampled, RejectsBadArguments) {
   const auto m = sampling_machine();
   const auto acts = bursty_kernels(3);
-  EXPECT_THROW(collect_sampled(m, {"NOPE"}, acts, 1,
+  EXPECT_THROW(collect_sampled(m, {"NOPE"}, acts, repetition_ids(1),
                                CollectionMode::sampling),
                std::invalid_argument);
-  EXPECT_THROW(collect_sampled(m, six_events(), acts, 0,
+  EXPECT_THROW(collect_sampled(m, six_events(), acts, repetition_ids(0),
                                CollectionMode::sampling),
                std::invalid_argument);
-  EXPECT_THROW(collect_sampled(m, six_events(), acts, 1,
+  EXPECT_THROW(collect_sampled(m, six_events(), acts, repetition_ids(1),
                                CollectionMode::sampling, {}, 0),
                std::invalid_argument);
-  EXPECT_THROW(collect_sampled(m, six_events(), {}, 1,
+  EXPECT_THROW(collect_sampled(m, six_events(), {}, repetition_ids(1),
                                CollectionMode::sampling),
                std::invalid_argument);
   SampleSchedule bad;
   bad.period_ns = 0;
-  EXPECT_THROW(collect_sampled(m, six_events(), acts, 1,
+  EXPECT_THROW(collect_sampled(m, six_events(), acts, repetition_ids(1),
                                CollectionMode::sampling, bad),
                std::invalid_argument);
 }

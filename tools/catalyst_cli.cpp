@@ -274,18 +274,17 @@ int cmd_analyze(const Args& args) {
     result.collection = archive.collection_report;
     source = "archive " + args.get("from", "") + " (" +
              archive.machine_name + ")";
-  } else if (const auto plan = fault_plan_from_args(args)) {
-    faults::RealClock clock;
-    vpapi::ResilienceOptions resilience;
-    resilience.clock = &clock;
-    result = core::run_pipeline_resilient(*machine, setup->benchmark,
-                                          setup->signatures, setup->options,
-                                          &*plan, resilience);
-    source = "machine " + machine->name() + " (faulty)";
   } else {
-    result = core::run_pipeline(*machine, setup->benchmark,
-                                setup->signatures, setup->options);
-    source = "machine " + machine->name();
+    const auto plan = fault_plan_from_args(args);
+    faults::RealClock clock;
+    core::CampaignOptions campaign;
+    campaign.pipeline = setup->options;
+    campaign.fault_plan = plan.has_value() ? &*plan : nullptr;
+    campaign.resilience.clock = &clock;
+    result = core::run_campaign(*machine, setup->benchmark, setup->signatures,
+                                campaign)
+                 .result;
+    source = "machine " + machine->name() + (plan ? " (faulty)" : "");
   }
   if (args.has("markdown")) {
     std::cout << core::format_markdown_report(
@@ -337,92 +336,57 @@ int cmd_collect(const Args& args) {
     checkpoint_dir = args.get("out", "") + ".ckpt";
   }
 
-  const vpapi::CollectionMode mode =
+  faults::RealClock clock;
+  core::CampaignOptions campaign;
+  campaign.pipeline = setup->options;
+  campaign.fault_plan = plan.has_value() ? &*plan : nullptr;
+  campaign.resilience.clock = &clock;
+  campaign.checkpoint.directory = checkpoint_dir;
+  campaign.checkpoint.resume = resume;
+  campaign.collection_mode =
       vpapi::collection_mode_from_string(args.get("mode", "counting"));
-  if (mode != vpapi::CollectionMode::counting) {
-    if (plan.has_value() || !checkpoint_dir.empty()) {
-      std::cerr << "sampling modes do not combine with --faults or "
-                   "--checkpoint-dir (counting-mode features)\n";
-      return 2;
-    }
-    vpapi::SampleSchedule schedule;
-    schedule.kernel_span_ns = static_cast<std::uint64_t>(
-        args.get_double("kernel-span-us",
-                        double(schedule.kernel_span_ns) / 1000.0) *
-        1000.0);
-    schedule.period_ns = static_cast<std::uint64_t>(
-        args.get_double("sample-period-us",
-                        double(schedule.period_ns) / 1000.0) *
-        1000.0);
-    // The short period only matters for strobed runs; cap the default at
-    // the long period so a fine --sample-period-us alone stays valid.
-    schedule.short_period_ns = static_cast<std::uint64_t>(
-        args.get_double("strobe-short-us",
-                        double(std::min(schedule.short_period_ns,
-                                        schedule.period_ns)) /
-                            1000.0) *
-        1000.0);
-    schedule.dither = !args.has("no-dither");
-    schedule.validate();
-    const auto out =
-        core::run_pipeline_sampled(*machine, setup->benchmark,
-                                   setup->signatures, setup->options, mode,
-                                   schedule);
-    core::write_text_file(args.get("out", ""),
-                          core::save_archive(out.archive));
-    std::cout << "wrote " << out.archive.event_names.size() << " events x "
-              << setup->options.repetitions << " repetitions x "
-              << out.archive.slot_names.size() << " slots ("
-              << vpapi::to_string(mode) << " mode, "
-              << (out.archive.sample_trace.has_value()
-                      ? out.archive.sample_trace->runs.size()
-                      : std::size_t{0})
-              << " sample-trace runs) to " << args.get("out", "") << "\n";
-    write_trace_artifacts(trace, "catalyst collect", args.positional[1],
-                          machine_name, setup->options, out.result);
-    return 0;
-  }
+  vpapi::SampleSchedule& schedule = campaign.sample_schedule;
+  schedule.kernel_span_ns = static_cast<std::uint64_t>(
+      args.get_double("kernel-span-us",
+                      double(schedule.kernel_span_ns) / 1000.0) *
+      1000.0);
+  schedule.period_ns = static_cast<std::uint64_t>(
+      args.get_double("sample-period-us",
+                      double(schedule.period_ns) / 1000.0) *
+      1000.0);
+  // The short period only matters for strobed runs; cap the default at the
+  // long period so a fine --sample-period-us alone stays valid.
+  schedule.short_period_ns = static_cast<std::uint64_t>(
+      args.get_double("strobe-short-us",
+                      double(std::min(schedule.short_period_ns,
+                                      schedule.period_ns)) /
+                          1000.0) *
+      1000.0);
+  schedule.dither = !args.has("no-dither");
 
-  if (plan.has_value() || !checkpoint_dir.empty()) {
-    // Resilient path: retry/quarantine + optional checkpoint/resume.
-    faults::RealClock clock;
-    core::CampaignOptions campaign;
-    campaign.pipeline = setup->options;
-    campaign.fault_plan = plan.has_value() ? &*plan : nullptr;
-    campaign.resilience.clock = &clock;
-    campaign.checkpoint.directory = checkpoint_dir;
-    campaign.checkpoint.resume = resume;
-    const auto out = core::run_campaign(*machine, setup->benchmark,
-                                        setup->signatures, campaign);
-    core::write_text_file(args.get("out", ""),
-                          core::save_archive(out.archive));
-    if (out.batches_resumed > 0) {
-      std::cout << "resumed " << out.batches_resumed << "/"
-                << out.batches_total << " batches from " << checkpoint_dir
-                << "\n";
-    }
-    if (out.result.collection.has_value()) {
-      std::cout << core::format_collection_report(*out.result.collection);
-    }
-    std::cout << "wrote " << out.archive.event_names.size() << " events x "
-              << setup->options.repetitions << " repetitions x "
-              << out.archive.slot_names.size() << " slots to "
-              << args.get("out", "") << "\n";
-    write_trace_artifacts(trace, "catalyst collect", args.positional[1],
-                          machine_name, setup->options, out.result);
-    return 0;
-  }
-
-  const auto result = core::run_pipeline(*machine, setup->benchmark,
-                                         setup->signatures, setup->options);
-  const auto archive = core::make_archive(*machine, setup->benchmark, result);
+  const auto out = core::run_campaign(*machine, setup->benchmark,
+                                      setup->signatures, campaign);
+  const core::MeasurementArchive archive =
+      core::make_archive(*machine, setup->benchmark, out.result);
   core::write_text_file(args.get("out", ""), core::save_archive(archive));
+  if (out.batches_resumed > 0) {
+    std::cout << "resumed " << out.batches_resumed << "/" << out.batches_total
+              << " batches from " << checkpoint_dir << "\n";
+  }
+  if (out.result.collection.has_value()) {
+    std::cout << core::format_collection_report(*out.result.collection);
+  }
   std::cout << "wrote " << archive.event_names.size() << " events x "
             << setup->options.repetitions << " repetitions x "
-            << archive.slot_names.size() << " slots to "
-            << args.get("out", "") << "\n";
+            << archive.slot_names.size() << " slots";
+  if (archive.sample_trace.has_value()) {
+    std::cout << " (" << vpapi::to_string(archive.collection_mode)
+              << " mode, " << archive.sample_trace->runs.size()
+              << " sample-trace runs)";
+  }
+  std::cout << " to " << args.get("out", "") << "\n";
   write_trace_artifacts(trace, "catalyst collect", args.positional[1],
-                        machine_name, setup->options, result);
+                        machine_name, setup->options, out.result);
   return 0;
 }
 
