@@ -149,16 +149,34 @@ void BM_PipelineBranch(benchmark::State& state) {
 }
 BENCHMARK(BM_PipelineBranch)->Unit(benchmark::kMillisecond);
 
+// Benchmark construction including the simulation: activities() forces
+// it, so these time the chases, not just the descriptor.
 void BM_DcacheBenchmarkBuild(benchmark::State& state) {
   cat::DcacheOptions opt;
   opt.threads = static_cast<int>(state.range(0));
   for (auto _ : state) {
     auto bench = cat::dcache_benchmark(opt);
-    benchmark::DoNotOptimize(bench.slots.data());
+    benchmark::DoNotOptimize(bench.activities().data());
   }
 }
 BENCHMARK(BM_DcacheBenchmarkBuild)->Arg(1)->Arg(2)->Arg(4)
     ->Unit(benchmark::kMillisecond);
+
+void BM_IcacheBenchmarkBuild(benchmark::State& state) {
+  for (auto _ : state) {
+    auto bench = cat::icache_benchmark();
+    benchmark::DoNotOptimize(bench.activities().data());
+  }
+}
+BENCHMARK(BM_IcacheBenchmarkBuild)->Unit(benchmark::kMillisecond);
+
+void BM_GpuDcacheBenchmarkBuild(benchmark::State& state) {
+  for (auto _ : state) {
+    auto bench = cat::gpu_dcache_benchmark();
+    benchmark::DoNotOptimize(bench.activities().data());
+  }
+}
+BENCHMARK(BM_GpuDcacheBenchmarkBuild)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

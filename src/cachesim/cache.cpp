@@ -1,6 +1,8 @@
 #include "cachesim/cache.hpp"
 
+#include <algorithm>
 #include <bit>
+#include <memory>
 
 namespace catalyst::cachesim {
 
@@ -10,62 +12,51 @@ CacheLevel::CacheLevel(const LevelConfig& config) : config_(config) {
   set_mask_ = sets - 1;
   line_shift_ = static_cast<std::uint32_t>(
       std::countr_zero(static_cast<std::uint64_t>(config_.line_bytes)));
-  ways_.assign(sets * config_.associativity, Way{});
+  ways_ = config_.associativity;
+  // Tags past a set's fill count are never read: no need to zero them.
+  tags_ = std::make_unique_for_overwrite<std::uint64_t[]>(sets * ways_);
+  fill_.assign(sets, 0);
 }
 
-CacheLevel::Way* CacheLevel::find(std::uint64_t line) {
-  const std::uint64_t set = set_index(line);
-  Way* base = ways_.data() + set * config_.associativity;
-  for (std::uint32_t w = 0; w < config_.associativity; ++w) {
-    if (base[w].valid && base[w].tag == line) return &base[w];
-  }
-  return nullptr;
+std::uint32_t CacheLevel::find(std::uint64_t line) const noexcept {
+  const std::uint64_t* set = set_of(line);
+  const std::uint32_t fill = fill_[line & set_mask_];
+  std::uint32_t pos = 0;
+  while (pos < fill && set[pos] != line) ++pos;
+  return pos;
 }
 
-const CacheLevel::Way* CacheLevel::find(std::uint64_t line) const {
-  const std::uint64_t set = set_index(line);
-  const Way* base = ways_.data() + set * config_.associativity;
-  for (std::uint32_t w = 0; w < config_.associativity; ++w) {
-    if (base[w].valid && base[w].tag == line) return &base[w];
+bool CacheLevel::touch(std::uint64_t line) noexcept {
+  // One pass: shift each scanned tag one place back until `line` turns up
+  // (a hit: its old slot is overwritten) or the set ends (a miss: the
+  // last tag falls off a full set, or fills the next free way).
+  std::uint64_t* set = set_of(line);
+  std::uint32_t& fill = fill_of(line);
+  std::uint64_t carry = line;
+  for (std::uint32_t pos = 0; pos < fill; ++pos) {
+    const std::uint64_t tag = set[pos];
+    set[pos] = carry;
+    if (tag == line) return true;
+    carry = tag;
   }
-  return nullptr;
-}
-
-CacheLevel::Way* CacheLevel::victim(std::uint64_t line) {
-  const std::uint64_t set = set_index(line);
-  Way* base = ways_.data() + set * config_.associativity;
-  Way* v = base;
-  for (std::uint32_t w = 0; w < config_.associativity; ++w) {
-    if (!base[w].valid) return &base[w];
-    if (base[w].lru_stamp < v->lru_stamp) v = &base[w];
-  }
-  return v;
+  if (fill < ways_) set[fill++] = carry;
+  return false;
 }
 
 bool CacheLevel::access(std::uint64_t addr) {
   const std::uint64_t line = addr >> line_shift_;
-  ++clock_;
-  if (Way* w = find(line)) {
-    w->lru_stamp = clock_;
+  if (touch(line)) {
     ++stats_.demand_hits;
     return true;
   }
   ++stats_.demand_misses;
-  Way* v = victim(line);
-  v->tag = line;
-  v->valid = true;
-  v->lru_stamp = clock_;
   if (config_.prefetch == PrefetchPolicy::next_line) {
     // Install the next `prefetch_degree` sequential lines (if absent)
     // without touching the demand statistics -- a simple hardware streamer.
     for (std::uint32_t d = 1; d <= config_.prefetch_degree; ++d) {
       const std::uint64_t next = line + d;
-      ++clock_;
-      if (!find(next)) {
-        Way* p = victim(next);
-        p->tag = next;
-        p->valid = true;
-        p->lru_stamp = clock_;
+      if (find(next) == fill_of(next)) {
+        touch(next);
         ++stats_.prefetches_issued;
       }
     }
@@ -74,25 +65,14 @@ bool CacheLevel::access(std::uint64_t addr) {
 }
 
 bool CacheLevel::contains(std::uint64_t addr) const {
-  return find(addr >> line_shift_) != nullptr;
+  const std::uint64_t line = addr >> line_shift_;
+  return find(line) < fill_[line & set_mask_];
 }
 
-void CacheLevel::install(std::uint64_t addr) {
-  const std::uint64_t line = addr >> line_shift_;
-  ++clock_;
-  if (Way* w = find(line)) {
-    w->lru_stamp = clock_;
-    return;
-  }
-  Way* v = victim(line);
-  v->tag = line;
-  v->valid = true;
-  v->lru_stamp = clock_;
-}
+void CacheLevel::install(std::uint64_t addr) { touch(addr >> line_shift_); }
 
 void CacheLevel::reset() {
-  for (Way& w : ways_) w = Way{};
-  clock_ = 0;
+  std::fill(fill_.begin(), fill_.end(), 0u);
   stats_ = LevelStats{};
 }
 

@@ -2,6 +2,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <vector>
 
@@ -21,6 +22,13 @@ struct LevelStats {
 ///
 /// Addresses are byte addresses; the level indexes by
 /// (addr / line_bytes) % num_sets and tags by addr / line_bytes.
+///
+/// Each set is a recency-ordered array of line tags, most recent first,
+/// plus a fill count: a hit moves its tag to the front, a miss inserts at
+/// the front and drops the last tag once the set is full.  True-LRU hit and
+/// miss counts depend only on that order, never on which way holds a line,
+/// so no per-way stamps or valid bits are kept, and reset() only zeroes the
+/// fill counts.
 class CacheLevel {
  public:
   explicit CacheLevel(const LevelConfig& config);
@@ -29,39 +37,45 @@ class CacheLevel {
   const LevelStats& stats() const noexcept { return stats_; }
 
   /// Demand access.  Returns true on hit.  On miss the line is installed
-  /// (allocate-on-miss), possibly evicting the LRU way.
+  /// (allocate-on-miss), possibly evicting the LRU line of its set.  Under
+  /// the next_line policy a miss also installs the next `prefetch_degree`
+  /// lines that are absent; lines already present are not refreshed.
   bool access(std::uint64_t addr);
 
   /// Probes without updating LRU or stats (for assertions in tests).
   bool contains(std::uint64_t addr) const;
 
-  /// Installs a line without counting a demand access (used for fills
-  /// initiated by an inner level's miss path and for prefetches).
+  /// Installs a line (or refreshes it to most recent) without counting a
+  /// demand access.
   void install(std::uint64_t addr);
 
   /// Invalidates everything and zeroes statistics.
   void reset();
 
  private:
-  struct Way {
-    std::uint64_t tag = 0;
-    std::uint64_t lru_stamp = 0;  // larger == more recently used
-    bool valid = false;
-  };
-
-  std::uint64_t set_index(std::uint64_t line) const noexcept {
-    return line & set_mask_;
+  std::uint64_t* set_of(std::uint64_t line) noexcept {
+    return tags_.get() + (line & set_mask_) * ways_;
+  }
+  const std::uint64_t* set_of(std::uint64_t line) const noexcept {
+    return tags_.get() + (line & set_mask_) * ways_;
+  }
+  std::uint32_t& fill_of(std::uint64_t line) noexcept {
+    return fill_[line & set_mask_];
   }
 
-  Way* find(std::uint64_t line);
-  const Way* find(std::uint64_t line) const;
-  Way* victim(std::uint64_t line);
+  /// Position of `line` in its set's recency order, or the fill count when
+  /// absent.
+  std::uint32_t find(std::uint64_t line) const noexcept;
+  /// Makes `line` its set's most recent tag, dropping the LRU tag of a full
+  /// set when `line` was absent; returns true if it was present.
+  bool touch(std::uint64_t line) noexcept;
 
   LevelConfig config_;
   std::uint64_t set_mask_;
   std::uint32_t line_shift_;
-  std::uint64_t clock_ = 0;
-  std::vector<Way> ways_;  // num_sets * associativity, set-major
+  std::uint32_t ways_;
+  std::unique_ptr<std::uint64_t[]> tags_;  // sets * ways, set-major, MRU first
+  std::vector<std::uint32_t> fill_;  // valid tags per set
   LevelStats stats_;
 };
 

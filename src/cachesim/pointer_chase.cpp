@@ -1,19 +1,24 @@
 #include "cachesim/pointer_chase.hpp"
 
+#include <limits>
+#include <numeric>
 #include <random>
 #include <stdexcept>
 
 namespace catalyst::cachesim {
 
-std::vector<std::uint64_t> build_chain(const ChaseConfig& config) {
+std::vector<std::uint32_t> chain_order(const ChaseConfig& config) {
   if (config.num_pointers == 0) {
-    throw std::invalid_argument("build_chain: empty chain");
+    throw std::invalid_argument("chain_order: empty chain");
   }
   if (config.stride_bytes == 0) {
-    throw std::invalid_argument("build_chain: zero stride");
+    throw std::invalid_argument("chain_order: zero stride");
   }
-  std::vector<std::uint64_t> order(config.num_pointers);
-  for (std::uint64_t i = 0; i < config.num_pointers; ++i) order[i] = i;
+  if (config.num_pointers > std::numeric_limits<std::uint32_t>::max()) {
+    throw std::invalid_argument("chain_order: chain longer than UINT32_MAX");
+  }
+  std::vector<std::uint32_t> order(config.num_pointers);
+  std::iota(order.begin(), order.end(), std::uint32_t{0});
   if (config.order == ChainOrder::random_cycle) {
     // Sattolo's algorithm: a uniform random cyclic permutation.  Walking
     // the resulting order visits every element exactly once per traversal
@@ -24,11 +29,12 @@ std::vector<std::uint64_t> build_chain(const ChaseConfig& config) {
       std::swap(order[i], order[pick(rng)]);
     }
   }
-  std::vector<std::uint64_t> addrs(config.num_pointers);
-  for (std::uint64_t i = 0; i < config.num_pointers; ++i) {
-    addrs[i] = config.base_addr + order[i] * config.stride_bytes;
-  }
-  return addrs;
+  return order;
+}
+
+std::uint64_t measured_accesses(const ChaseConfig& config) {
+  return static_cast<std::uint64_t>(config.measured_traversals) *
+         config.num_pointers;
 }
 
 ChaseResult run_chase(CacheHierarchy& hierarchy, const ChaseConfig& config,
@@ -36,17 +42,23 @@ ChaseResult run_chase(CacheHierarchy& hierarchy, const ChaseConfig& config,
   if (config.warmup_traversals < 0 || config.measured_traversals <= 0) {
     throw std::invalid_argument("run_chase: bad traversal counts");
   }
-  const std::vector<std::uint64_t> chain = build_chain(config);
+  // One u32 index per element; addresses are formed on the fly, so a chase
+  // holds 4 bytes per element instead of an address array as well.
+  const std::vector<std::uint32_t> chain = chain_order(config);
+  const std::uint64_t base = config.base_addr;
+  const std::uint64_t stride = config.stride_bytes;
+  const auto traverse = [&] {
+    for (const std::uint32_t idx : chain) {
+      const std::uint64_t a = base + idx * stride;
+      if (tlb) tlb->access(a);
+      hierarchy.access(a);
+    }
+  };
 
   // Warm up to steady state, snapshot the counters, then diff after the
   // measured traversals; this leaves cache contents untouched between the
   // two phases.
-  for (int t = 0; t < config.warmup_traversals; ++t) {
-    for (std::uint64_t a : chain) {
-      if (tlb) tlb->access(a);
-      hierarchy.access(a);
-    }
-  }
+  for (int t = 0; t < config.warmup_traversals; ++t) traverse();
   std::vector<LevelStats> before(hierarchy.num_levels());
   for (std::size_t i = 0; i < hierarchy.num_levels(); ++i) {
     before[i] = hierarchy.level(i).stats();
@@ -54,12 +66,7 @@ ChaseResult run_chase(CacheHierarchy& hierarchy, const ChaseConfig& config,
   const std::uint64_t mem_before = hierarchy.memory_accesses();
   const TlbStats tlb_before = tlb ? tlb->stats() : TlbStats{};
 
-  for (int t = 0; t < config.measured_traversals; ++t) {
-    for (std::uint64_t a : chain) {
-      if (tlb) tlb->access(a);
-      hierarchy.access(a);
-    }
-  }
+  for (int t = 0; t < config.measured_traversals; ++t) traverse();
 
   ChaseResult res;
   res.level_stats.resize(hierarchy.num_levels());
@@ -70,8 +77,7 @@ ChaseResult run_chase(CacheHierarchy& hierarchy, const ChaseConfig& config,
         now.demand_misses - before[i].demand_misses;
   }
   res.memory_accesses = hierarchy.memory_accesses() - mem_before;
-  res.total_accesses = static_cast<std::uint64_t>(config.measured_traversals) *
-                       config.num_pointers;
+  res.total_accesses = measured_accesses(config);
   if (tlb) {
     const TlbStats& now = tlb->stats();
     res.tlb.l1_hits = now.l1_hits - tlb_before.l1_hits;

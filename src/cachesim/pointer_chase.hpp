@@ -45,16 +45,22 @@ struct ChaseResult {
   TlbStats tlb;                        ///< Zeroes when no TLB was supplied.
 };
 
-/// Builds the cyclic chain as a sequence of byte addresses in chase order.
-/// The permutation is a seeded Fisher-Yates shuffle (Sattolo variant, which
-/// guarantees a single cycle covering every element).
-std::vector<std::uint64_t> build_chain(const ChaseConfig& config);
+/// The chain's visiting order as element indices: element i lives at byte
+/// address base_addr + i * stride_bytes.  random_cycle draws a seeded
+/// Sattolo shuffle (a Fisher-Yates variant that guarantees a single cycle
+/// covering every element).  Throws std::invalid_argument for an empty
+/// chain, a zero stride, or more than UINT32_MAX elements.
+std::vector<std::uint32_t> chain_order(const ChaseConfig& config);
+
+/// Demand accesses a chase counts: measured_traversals x chain length.
+std::uint64_t measured_accesses(const ChaseConfig& config);
 
 /// Runs the chase against a hierarchy: `warmup_traversals` untimed walks to
 /// reach steady state, then `measured_traversals` counted walks.  The
-/// hierarchy's stats are reset after warmup so the result reflects only the
-/// measured phase.  When `tlb` is non-null every access is also translated
-/// through it and the measured-phase TLB statistics are reported.
+/// result holds only the measured phase's counts (the counters are
+/// snapshotted after warmup; cache contents carry over).  When `tlb` is
+/// non-null every access is also translated through it and the
+/// measured-phase TLB statistics are reported.
 ChaseResult run_chase(CacheHierarchy& hierarchy, const ChaseConfig& config,
                       TlbHierarchy* tlb = nullptr);
 

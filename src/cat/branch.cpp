@@ -26,6 +26,7 @@ linalg::Matrix branch_expectation_rows() {
 Benchmark branch_benchmark() {
   namespace sig = pmu::sig;
   Benchmark bench;
+  std::vector<pmu::Activity> acts;  // One per slot, single thread.
   bench.name = "cat-branch";
   bench.basis.labels = {"CE", "CR", "T", "D", "M"};
   bench.basis.e = branch_expectation_rows();
@@ -72,9 +73,10 @@ Benchmark branch_benchmark() {
     act[sig::uops] = std::round(instructions * 1.08);
     // Mispredictions cost ~15 cycles each on top of the base IPC.
     act[sig::cycles] = std::round(0.9 * instructions + 15.0 * mi + 40.0);
-    slot.thread_activities.push_back(std::move(act));
+    acts.push_back(std::move(act));
     bench.slots.push_back(std::move(slot));
   }
+  bench.set_activities({std::move(acts)});
   return bench;
 }
 

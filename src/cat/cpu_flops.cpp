@@ -59,6 +59,7 @@ std::string cpu_flops_label(const std::string& width, const std::string& prec,
 Benchmark cpu_flops_benchmark(const CpuFlopsOptions& options) {
   namespace sig = pmu::sig;
   Benchmark bench;
+  std::vector<pmu::Activity> acts;  // One per slot, single thread.
   bench.name = "cat-cpu-flops";
 
   const auto kinds = kernel_kinds(options);
@@ -119,10 +120,11 @@ Benchmark cpu_flops_benchmark(const CpuFlopsOptions& options) {
       act[sig::uops] = std::round(instructions * 1.12) * kOuterReps;
       act[sig::cycles] =
           std::round(1.7 * n_instr + 1.1 * iters + 35.0) * kOuterReps;
-      slot.thread_activities.push_back(std::move(act));
+      acts.push_back(std::move(act));
       bench.slots.push_back(std::move(slot));
     }
   }
+  bench.set_activities({std::move(acts)});
   return bench;
 }
 

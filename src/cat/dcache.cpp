@@ -1,6 +1,8 @@
 #include "cat/dcache.hpp"
 
+#include <algorithm>
 #include <cmath>
+#include <numeric>
 #include <stdexcept>
 
 #include "cachesim/pointer_chase.hpp"
@@ -62,6 +64,58 @@ std::vector<SlotPlan> plan_slots(const DcacheOptions& opt) {
   return plans;
 }
 
+/// The chase of slot `s` on chase thread `t`.  Disjoint buffers: each
+/// thread gets its own 1 GiB window.
+cachesim::ChaseConfig chase_config(const DcacheOptions& opt,
+                                   const SlotPlan& p, std::size_t s, int t) {
+  cachesim::ChaseConfig cfg;
+  cfg.num_pointers = p.num_pointers;
+  cfg.stride_bytes = p.stride;
+  cfg.base_addr = static_cast<std::uint64_t>(t) << 30;
+  cfg.seed = opt.seed + static_cast<std::uint64_t>(t) * 1000 + s;
+  cfg.warmup_traversals = opt.warmup_traversals;
+  cfg.measured_traversals = opt.measured_traversals;
+  return cfg;
+}
+
+/// Ground truth of one (slot, thread) unit: the chase on a fresh private
+/// hierarchy (core-private L1/L2 and, for simplicity, an L3 slice) and TLB.
+pmu::Activity simulate_unit(const DcacheOptions& opt,
+                            const cachesim::ChaseConfig& cfg) {
+  namespace sig = pmu::sig;
+  cachesim::CacheHierarchy hierarchy(opt.hierarchy);
+  cachesim::TlbHierarchy tlb(cachesim::TlbConfig::saphira());
+  const auto res = run_chase(hierarchy, cfg, &tlb);
+
+  pmu::Activity act;
+  const double accesses = static_cast<double>(res.total_accesses);
+  act[sig::l1d_demand_hit] =
+      static_cast<double>(res.level_stats[0].demand_hits);
+  act[sig::l1d_demand_miss] =
+      static_cast<double>(res.level_stats[0].demand_misses);
+  act[sig::l2d_demand_hit] =
+      static_cast<double>(res.level_stats[1].demand_hits);
+  act[sig::l2d_demand_miss] =
+      static_cast<double>(res.level_stats[1].demand_misses);
+  act[sig::l3d_demand_hit] =
+      static_cast<double>(res.level_stats[2].demand_hits);
+  act[sig::l3d_demand_miss] = static_cast<double>(res.memory_accesses);
+  act[sig::dtlb_hit] = static_cast<double>(res.tlb.l1_hits);
+  act[sig::dtlb_miss] = static_cast<double>(res.tlb.l1_misses);
+  act[sig::stlb_hit] = static_cast<double>(res.tlb.l2_hits);
+  act[sig::dtlb_walk] = static_cast<double>(res.tlb.walks);
+  act[sig::loads] = accesses;
+  act[sig::instructions] = std::round(2.2 * accesses);
+  act[sig::uops] = std::round(2.5 * accesses);
+  // Latency-weighted cycle model: hits get cheaper service than misses.
+  act[sig::cycles] = std::round(
+      4.0 * static_cast<double>(res.level_stats[0].demand_hits) +
+      14.0 * static_cast<double>(res.level_stats[1].demand_hits) +
+      40.0 * static_cast<double>(res.level_stats[2].demand_hits) +
+      180.0 * static_cast<double>(res.memory_accesses));
+  return act;
+}
+
 }  // namespace
 
 std::vector<DcacheSlotInfo> dcache_slot_info(const DcacheOptions& options) {
@@ -78,6 +132,7 @@ Benchmark dcache_benchmark(const DcacheOptions& options) {
 
   Benchmark bench;
   bench.name = "cat-dcache";
+  bench.threads = static_cast<std::size_t>(options.threads);
   bench.basis.labels = {"L1DM", "L1DH", "L2DH", "L3DH"};
   bench.basis.ideal_events = {
       {"L1DM", "Ideal event: L1D demand misses",
@@ -101,69 +156,35 @@ Benchmark dcache_benchmark(const DcacheOptions& options) {
     auto& slot = bench.slots[s];
     slot.name = "dcache/" + p.regime + "/stride" + std::to_string(p.stride) +
                 "/n" + std::to_string(p.num_pointers);
-    slot.thread_activities.resize(static_cast<std::size_t>(options.threads));
+    // Every thread chases the same traversal count.
+    slot.normalizer = static_cast<double>(
+        cachesim::measured_accesses(chase_config(options, p, s, 0)));
   }
 
-  // Each chase thread owns a private hierarchy (core-private L1/L2 and, for
-  // simplicity, an L3 slice) and a disjoint buffer; threads are simulated
-  // concurrently, one OS thread per chase thread.
-  auto run_thread = [&](int t) {
-    cachesim::CacheHierarchy hierarchy(options.hierarchy);
-    cachesim::TlbHierarchy tlb(cachesim::TlbConfig::saphira());
-    for (std::size_t s = 0; s < plans.size(); ++s) {
-      const auto& p = plans[s];
-      hierarchy.reset();
-      tlb.reset();
-      cachesim::ChaseConfig cfg;
-      cfg.num_pointers = p.num_pointers;
-      cfg.stride_bytes = p.stride;
-      // Disjoint buffers: give each thread its own 1 GiB window.
-      cfg.base_addr = static_cast<std::uint64_t>(t) << 30;
-      cfg.seed = options.seed + static_cast<std::uint64_t>(t) * 1000 + s;
-      cfg.warmup_traversals = options.warmup_traversals;
-      cfg.measured_traversals = options.measured_traversals;
-      const auto res = run_chase(hierarchy, cfg, &tlb);
-
-      pmu::Activity act;
-      const double accesses = static_cast<double>(res.total_accesses);
-      act[sig::l1d_demand_hit] =
-          static_cast<double>(res.level_stats[0].demand_hits);
-      act[sig::l1d_demand_miss] =
-          static_cast<double>(res.level_stats[0].demand_misses);
-      act[sig::l2d_demand_hit] =
-          static_cast<double>(res.level_stats[1].demand_hits);
-      act[sig::l2d_demand_miss] =
-          static_cast<double>(res.level_stats[1].demand_misses);
-      act[sig::l3d_demand_hit] =
-          static_cast<double>(res.level_stats[2].demand_hits);
-      act[sig::l3d_demand_miss] = static_cast<double>(res.memory_accesses);
-      act[sig::dtlb_hit] = static_cast<double>(res.tlb.l1_hits);
-      act[sig::dtlb_miss] = static_cast<double>(res.tlb.l1_misses);
-      act[sig::stlb_hit] = static_cast<double>(res.tlb.l2_hits);
-      act[sig::dtlb_walk] = static_cast<double>(res.tlb.walks);
-      act[sig::loads] = accesses;
-      act[sig::instructions] = std::round(2.2 * accesses);
-      act[sig::uops] = std::round(2.5 * accesses);
-      // Latency-weighted cycle model: hits get cheaper service than misses.
-      act[sig::cycles] = std::round(
-          4.0 * static_cast<double>(res.level_stats[0].demand_hits) +
-          14.0 * static_cast<double>(res.level_stats[1].demand_hits) +
-          40.0 * static_cast<double>(res.level_stats[2].demand_hits) +
-          180.0 * static_cast<double>(res.memory_accesses));
-      bench.slots[s].thread_activities[static_cast<std::size_t>(t)] =
-          std::move(act);
-      // Every thread chases the same traversal count, so the normalizer is
-      // identical across threads -- but letting them all store it is still
-      // a data race.  Thread 0 is the designated writer.
-      if (t == 0) bench.slots[s].normalizer = accesses;
-    }
-  };
-
-  // One unit per simulated benchmark thread; each writes its own
-  // thread_activities slot (the shared worker pool's determinism contract).
-  core::parallel_for(static_cast<std::size_t>(options.threads),
-                     options.threads,
-                     [&](std::size_t t) { run_thread(static_cast<int>(t)); });
+  // One unit per (slot, chase thread); each writes its own table cell.
+  // Largest chains first, so the longest units do not start last.
+  const std::size_t n_threads = bench.threads;
+  std::vector<std::size_t> units(plans.size() * n_threads);
+  std::iota(units.begin(), units.end(), std::size_t{0});
+  std::stable_sort(units.begin(), units.end(),
+                   [&](std::size_t a, std::size_t b) {
+                     return plans[a / n_threads].num_pointers >
+                            plans[b / n_threads].num_pointers;
+                   });
+  const std::size_t n_units = units.size();
+  bench.set_simulation(
+      "dcache", n_units,
+      [options, plans, units = std::move(units), n_threads](int workers) {
+        ActivityTable table(n_threads,
+                            std::vector<pmu::Activity>(plans.size()));
+        core::parallel_for(units.size(), workers, [&](std::size_t u) {
+          const std::size_t s = units[u] / n_threads;
+          const int t = static_cast<int>(units[u] % n_threads);
+          table[static_cast<std::size_t>(t)][s] =
+              simulate_unit(options, chase_config(options, plans[s], s, t));
+        });
+        return table;
+      });
   return bench;
 }
 

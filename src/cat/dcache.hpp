@@ -4,9 +4,9 @@
 // memory regimes, at two strides (64 B and 128 B), with several concurrent
 // threads chasing disjoint buffers (the paper keeps the median reading
 // across threads to suppress noise).  Unlike the compute benchmarks, the
-// ground-truth activity here is *simulated*: each slot actually runs the
-// chase on a catalyst::cachesim hierarchy and records the per-level demand
-// hit/miss counts as signals.
+// ground-truth activity here is *simulated*: each (slot, thread) actually
+// runs the chase on a catalyst::cachesim hierarchy and records the
+// per-level demand hit/miss counts as signals.
 //
 // The expectation basis (L1DM, L1DH, L2DH, L3DH) holds the idealized
 // per-access counts: 1.0 for the level that serves the regime's accesses,
@@ -36,7 +36,8 @@ struct DcacheOptions {
   /// Chase traversal counts.
   int warmup_traversals = 1;
   int measured_traversals = 1;
-  /// Base seed for chain permutations (thread t uses seed + t).
+  /// Base seed for chain permutations (slot s on thread t uses
+  /// seed + 1000 t + s).
   std::uint64_t seed = 2024;
   /// Cache geometry to chase against.
   cachesim::HierarchyConfig hierarchy = cachesim::HierarchyConfig::saphira();
@@ -49,9 +50,11 @@ struct DcacheSlotInfo {
   std::uint64_t num_pointers;
 };
 
-/// Builds the data-cache benchmark by running the pointer chase on the
-/// simulated hierarchy.  Slot order: for each stride, the regimes
-/// L1, L2, L3, M (each with one slot per fraction/multiple).
+/// Builds the data-cache benchmark.  The basis and normalizers come from
+/// the slot plan alone; the activities come from running the pointer chase
+/// on the simulated hierarchy, one unit per (slot, chase thread), on first
+/// use.  Slot order: for each stride, the regimes L1, L2, L3, M (each with
+/// one slot per fraction/multiple).
 Benchmark dcache_benchmark(const DcacheOptions& options = {});
 
 /// Slot metadata parallel to dcache_benchmark().slots.

@@ -22,6 +22,7 @@ struct GpuKernelKind {
 Benchmark gpu_flops_benchmark() {
   namespace sig = pmu::sig;
   Benchmark bench;
+  std::vector<pmu::Activity> acts;  // One per slot, single thread.
   bench.name = "cat-gpu-flops";
 
   const GpuKernelKind ops[] = {{"A", "add", false},
@@ -70,12 +71,13 @@ Benchmark gpu_flops_benchmark() {
         act[sig::gpu_smem] = (iters + 4.0) * kOuterReps;
         act[sig::gpu_cycles] =
             std::round(4.0 * n_instr + 2.0 * iters + 120.0) * kOuterReps;
-        slot.thread_activities.push_back(std::move(act));
+        acts.push_back(std::move(act));
         bench.slots.push_back(std::move(slot));
       }
       ++k;
     }
   }
+  bench.set_activities({std::move(acts)});
   return bench;
 }
 

@@ -35,6 +35,7 @@ std::vector<MixedWorkload> random_mixed_workloads(const Benchmark& benchmark,
   std::uniform_real_distribution<double> uni(0.0, 1.0);
   std::uniform_int_distribution<int> weight(1, max_weight);
 
+  const std::vector<pmu::Activity>& acts = benchmark.activities().front();
   std::vector<MixedWorkload> workloads;
   workloads.reserve(count);
   for (std::size_t w = 0; w < count; ++w) {
@@ -48,17 +49,14 @@ std::vector<MixedWorkload> random_mixed_workloads(const Benchmark& benchmark,
       mix.weights[s] = wgt;
       any = true;
       // Single-thread activity of the slot, scaled by the weight.
-      const pmu::Activity& slot_act =
-          benchmark.slots[s].thread_activities.front();
-      for (const auto& [signal, value] : slot_act) {
+      for (const auto& [signal, value] : acts[s]) {
         mix.activity[signal] += wgt * value;
       }
     }
     if (!any) {
       // Guarantee a non-empty mix: take the first slot once.
       mix.weights[0] = 1.0;
-      for (const auto& [signal, value] :
-           benchmark.slots[0].thread_activities.front()) {
+      for (const auto& [signal, value] : acts[0]) {
         mix.activity[signal] += value;
       }
     }

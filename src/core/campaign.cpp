@@ -131,7 +131,7 @@ std::string campaign_config_key(const pmu::Machine& machine,
   std::ostringstream os;
   os << machine.name() << '|' << benchmark.name
      << "|reps=" << options.pipeline.repetitions
-     << "|bthreads=" << benchmark.slots.front().thread_activities.size()
+     << "|bthreads=" << benchmark.threads
      << "|slots=" << benchmark.slots.size()
      << "|events=" << machine.events().size() << "|plan="
      << (options.fault_plan != nullptr ? faults::describe(*options.fault_plan)
@@ -446,25 +446,24 @@ CampaignResult run_campaign(const pmu::Machine& machine,
         "run_campaign: checkpointing is counting-mode only (sample traces "
         "do not fit the checkpoint format)");
   }
-  const std::size_t n_threads =
-      benchmark.slots.front().thread_activities.size();
-  for (const auto& slot : benchmark.slots) {
-    CATALYST_REQUIRE_AS(slot.thread_activities.size() == n_threads,
-                        std::invalid_argument,
-                        "run_campaign: inconsistent thread counts across "
-                        "slots");
+  // A simulated benchmark builds its activities here, on first use, inside
+  // its own cat.simulate span -- ahead of stage.collect, so collection
+  // timings stay collection-only.
+  const bool simulates = !benchmark.activities_ready();
+  const cat::ActivityTable& thread_acts = benchmark.activities();
+  const std::size_t n_threads = benchmark.threads;
+  const std::size_t n_slots = benchmark.slots.size();
+  CATALYST_REQUIRE_AS(thread_acts.size() == n_threads, std::invalid_argument,
+                      "run_campaign: activity table has the wrong thread "
+                      "count");
+  for (const auto& row : thread_acts) {
+    CATALYST_REQUIRE_AS(row.size() == n_slots, std::invalid_argument,
+                        "run_campaign: activity table has the wrong slot "
+                        "count");
   }
 
   const std::vector<std::string> all_events = machine.event_names();
   const std::size_t n_events = all_events.size();
-  const std::size_t n_slots = benchmark.slots.size();
-  std::vector<std::vector<pmu::Activity>> thread_acts(n_threads);
-  for (std::size_t t = 0; t < n_threads; ++t) {
-    thread_acts[t].reserve(n_slots);
-    for (const auto& slot : benchmark.slots) {
-      thread_acts[t].push_back(slot.thread_activities[t]);
-    }
-  }
   // Per-slot normalization is a multiply in the hot loop, not a divide.
   std::vector<double> inv_normalizer(n_slots);
   for (std::size_t k = 0; k < n_slots; ++k) {
@@ -596,6 +595,13 @@ CampaignResult run_campaign(const pmu::Machine& machine,
         out.result.stage_timings.begin(),
         {obs::StageTiming{"collect", collect_ns},
          obs::StageTiming{"median_normalize", median_ns}});
+  }
+  // A traced simulation this run waited for leads the list: it built the
+  // run's inputs.
+  if (simulates && benchmark.simulate_ns() > 0) {
+    out.result.stage_timings.insert(
+        out.result.stage_timings.begin(),
+        obs::StageTiming{"simulate", benchmark.simulate_ns()});
   }
   out.result.quarantined_events = std::move(quarantined);
   out.result.collection = std::move(report);

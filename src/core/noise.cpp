@@ -108,7 +108,7 @@ NoiseFilterResult filter_noise(
   return result;
 }
 
-double median(std::vector<double> values) {
+double median(std::span<double> values) {
   CATALYST_REQUIRE_AS(!values.empty(), std::invalid_argument,
                       "median: empty input");
   const std::size_t mid = values.size() / 2;

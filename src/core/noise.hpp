@@ -8,6 +8,7 @@
 #pragma once
 
 #include <cstddef>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -58,6 +59,8 @@ NoiseFilterResult filter_noise(
 /// Median of `values`; the across-thread noise suppressor used for the
 /// data-cache benchmark (Section IV, last paragraph).  Even-sized inputs
 /// return the mean of the two middle elements.  Throws on empty input.
-double median(std::vector<double> values);
+/// Works in place: `values` is left partially reordered, so callers pass a
+/// scratch buffer and the hot loops allocate nothing.
+double median(std::span<double> values);
 
 }  // namespace catalyst::core

@@ -14,6 +14,7 @@
 // rule keeps the error slot below on the annotated sync::Mutex.
 #pragma once
 
+#include <algorithm>
 #include <atomic>
 #include <cstddef>
 #include <exception>
@@ -66,6 +67,13 @@ class FirstError {
   std::exception_ptr error_ CATALYST_GUARDED_BY(mutex_);
   std::atomic<bool> armed_{false};
 };
+
+/// Workers for `units` independent units: min(units, hardware threads),
+/// at least 1.
+inline int hardware_workers(std::size_t units) noexcept {
+  const std::size_t hw = std::max(1u, std::thread::hardware_concurrency());
+  return static_cast<int>(std::max<std::size_t>(1, std::min(units, hw)));
+}
 
 /// Runs body(unit) for every unit in [0, total), on up to `threads` workers.
 /// threads <= 1 (or total < 2) runs inline on the calling thread with no

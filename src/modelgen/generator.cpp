@@ -274,6 +274,7 @@ GeneratedModel generate(const GeneratorSpec& spec) {
          {{dim_signal(d), 1.0}},
          pmu::NoiseModel::none()});
   }
+  std::vector<pmu::Activity> acts;
   for (std::size_t k = 0; k < slots; ++k) {
     cat::KernelSlot slot;
     slot.name = "syn/slot" + std::to_string(k);
@@ -287,9 +288,10 @@ GeneratedModel generate(const GeneratorSpec& spec) {
     for (std::size_t j = 0; j < spec.scaffold_events; ++j) {
       act[scaffold_signal(j)] = spec.iterations * scaffold_values[j][k];
     }
-    slot.thread_activities.push_back(std::move(act));
+    acts.push_back(std::move(act));
     bench.slots.push_back(std::move(slot));
   }
+  bench.set_activities({std::move(acts)});
 
   // --- planted metrics -----------------------------------------------------
   const int cmax = spec.max_coefficient;

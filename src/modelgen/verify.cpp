@@ -200,10 +200,14 @@ GeneratedModel rescale_slots(const GeneratedModel& model, double factor) {
   GeneratedModel transformed = model;
   for (cat::KernelSlot& slot : transformed.benchmark.slots) {
     slot.normalizer *= factor;
-    for (pmu::Activity& activity : slot.thread_activities) {
+  }
+  cat::ActivityTable table = model.benchmark.activities();
+  for (auto& row : table) {
+    for (pmu::Activity& activity : row) {
       for (auto& [signal, value] : activity) value *= factor;
     }
   }
+  transformed.benchmark.set_activities(std::move(table));
   return transformed;
 }
 

@@ -9,11 +9,13 @@
 // signatures, and thresholds as the same category analyzed by the CLI,
 // because there is only one place any of them is defined.
 //
-// SharedCatalog adds the daemon-grade layer: benchmark construction (the
-// dcache pointer-chase simulations especially) and machine-model
-// construction are not free, so a long-running server builds each entry
-// once and shares the immutable result across its worker pool behind a
-// sync::SharedMutex (readers concurrent, first-builder exclusive).
+// SharedCatalog adds the daemon-grade layer: a long-running server builds
+// each entry once and shares the immutable result across its worker pool
+// behind a sync::SharedMutex (readers concurrent, first-builder exclusive).
+// Building an entry is cheap: a benchmark's descriptor (basis, slots,
+// normalizers) never simulates, and the cache categories' simulations run
+// only on first use of Benchmark::activities() -- which a SUBMIT, carrying
+// its own measurements, never makes.
 #pragma once
 
 #include <memory>

@@ -164,35 +164,48 @@ TEST(Chain, BuildChainIsSingleCycleCoveringAllElements) {
   cfg.num_pointers = 97;
   cfg.stride_bytes = 64;
   cfg.seed = 5;
-  auto chain = build_chain(cfg);
-  ASSERT_EQ(chain.size(), 97u);
-  std::set<std::uint64_t> uniq(chain.begin(), chain.end());
+  const auto order = chain_order(cfg);
+  ASSERT_EQ(order.size(), 97u);
+  std::set<std::uint32_t> uniq(order.begin(), order.end());
   EXPECT_EQ(uniq.size(), 97u);
-  for (std::uint64_t a : chain) {
-    EXPECT_EQ(a % 64, 0u);
-    EXPECT_LT(a, 97u * 64u);
+  EXPECT_LT(*uniq.rbegin(), 97u);
+  // Sattolo: following element -> successor from any start visits all 97.
+  std::vector<std::uint32_t> next(97);
+  for (std::size_t i = 0; i < order.size(); ++i) {
+    next[order[i]] = order[(i + 1) % order.size()];
   }
+  std::uint32_t at = 0;
+  std::size_t steps = 0;
+  do {
+    at = next[at];
+    ++steps;
+  } while (at != 0);
+  EXPECT_EQ(steps, 97u);
 }
 
 TEST(Chain, DeterministicForSameSeed) {
   ChaseConfig cfg;
   cfg.num_pointers = 64;
   cfg.seed = 42;
-  EXPECT_EQ(build_chain(cfg), build_chain(cfg));
+  EXPECT_EQ(chain_order(cfg), chain_order(cfg));
   cfg.seed = 43;
-  auto other = build_chain(cfg);
+  auto other = chain_order(cfg);
   ChaseConfig cfg42 = cfg;
   cfg42.seed = 42;
-  EXPECT_NE(other, build_chain(cfg42));
+  EXPECT_NE(other, chain_order(cfg42));
 }
 
 TEST(Chain, RejectsDegenerateConfigs) {
   ChaseConfig cfg;
   cfg.num_pointers = 0;
-  EXPECT_THROW(build_chain(cfg), std::invalid_argument);
+  EXPECT_THROW(chain_order(cfg), std::invalid_argument);
   cfg.num_pointers = 4;
   cfg.stride_bytes = 0;
-  EXPECT_THROW(build_chain(cfg), std::invalid_argument);
+  EXPECT_THROW(chain_order(cfg), std::invalid_argument);
+  // Element indices are u32: longer chains are refused before allocating.
+  cfg.stride_bytes = 64;
+  cfg.num_pointers = std::uint64_t{1} << 32;
+  EXPECT_THROW(chain_order(cfg), std::invalid_argument);
 }
 
 TEST(Chase, FitsInL1AllL1Hits) {
@@ -326,10 +339,22 @@ TEST(Chain, SequentialOrderIsAscending) {
   cfg.stride_bytes = 64;
   cfg.base_addr = 1024;
   cfg.order = ChainOrder::sequential;
-  const auto chain = build_chain(cfg);
-  for (std::size_t i = 0; i < chain.size(); ++i) {
-    EXPECT_EQ(chain[i], 1024 + i * 64);
+  const auto order = chain_order(cfg);
+  for (std::size_t i = 0; i < order.size(); ++i) {
+    EXPECT_EQ(order[i], i);
   }
+  // Addresses are base + index * stride: a sequential chase of 10 lines
+  // from a cold single-level cache misses each line exactly once.
+  HierarchyConfig one;
+  one.levels = {LevelConfig{"L1D", 4096, 64, 4}};
+  CacheHierarchy h(one);
+  cfg.warmup_traversals = 0;
+  const auto res = run_chase(h, cfg);
+  EXPECT_EQ(res.level_stats[0].demand_misses, 10u);
+  for (std::uint64_t i = 0; i < 10; ++i) {
+    EXPECT_TRUE(h.level(0).contains(1024 + i * 64)) << i;
+  }
+  EXPECT_FALSE(h.level(0).contains(1024 + 10 * 64));
 }
 
 class ChaseRegimeSweep

@@ -30,12 +30,12 @@ TEST(GpuDcacheBenchmark, RegimesMatchFootprints) {
   const auto b = gpu_dcache_benchmark();
   // Slots 0-1 fit the 8 MiB TCC; slots 2-3 stream from memory.
   for (std::size_t s = 0; s < 2; ++s) {
-    const auto& act = b.slots[s].thread_activities[0];
+    const auto& act = b.activities()[0][s];
     EXPECT_GT(act.at(sig::gpu_tcc_hit) / b.slots[s].normalizer, 0.9)
         << b.slots[s].name;
   }
   for (std::size_t s = 2; s < 4; ++s) {
-    const auto& act = b.slots[s].thread_activities[0];
+    const auto& act = b.activities()[0][s];
     EXPECT_GT(act.at(sig::gpu_tcc_miss) / b.slots[s].normalizer, 0.9)
         << b.slots[s].name;
   }
@@ -43,8 +43,9 @@ TEST(GpuDcacheBenchmark, RegimesMatchFootprints) {
 
 TEST(GpuDcacheBenchmark, ConservationPerSlot) {
   const auto b = gpu_dcache_benchmark();
-  for (const auto& slot : b.slots) {
-    const auto& act = slot.thread_activities[0];
+  for (std::size_t s = 0; s < b.slots.size(); ++s) {
+    const auto& slot = b.slots[s];
+    const auto& act = b.activities()[0][s];
     EXPECT_NEAR((act.at(sig::gpu_tcc_hit) + act.at(sig::gpu_tcc_miss)) /
                     slot.normalizer,
                 1.0, 1e-12)

@@ -33,7 +33,7 @@ TEST(IcacheBenchmark, SmallFootprintsHitL1I) {
   const auto b = icache_benchmark();
   // First two slots are inside the 32 KiB L1I.
   for (std::size_t s = 0; s < 2; ++s) {
-    const auto& act = b.slots[s].thread_activities[0];
+    const auto& act = b.activities()[0][s];
     const double hits = act.at(sig::l1i_hit) / b.slots[s].normalizer;
     EXPECT_GT(hits, 0.95) << b.slots[s].name;
     EXPECT_DOUBLE_EQ(b.basis.e(static_cast<linalg::index_t>(s), 1), 1.0);
@@ -43,7 +43,7 @@ TEST(IcacheBenchmark, SmallFootprintsHitL1I) {
 TEST(IcacheBenchmark, LargeFootprintsMissL1I) {
   const auto b = icache_benchmark();
   for (std::size_t s = 2; s < b.slots.size(); ++s) {
-    const auto& act = b.slots[s].thread_activities[0];
+    const auto& act = b.activities()[0][s];
     const double misses = act.at(sig::l1i_miss) / b.slots[s].normalizer;
     // Sequential cyclic over LRU beyond capacity: near-total misses.
     EXPECT_GT(misses, 0.9) << b.slots[s].name;
@@ -55,13 +55,13 @@ TEST(IcacheBenchmark, L2RegimeServedByL2) {
   const auto b = icache_benchmark();
   // Slots 2-3 (256K, 1M) fit the 2 MiB L2.
   for (std::size_t s = 2; s < 4; ++s) {
-    const auto& act = b.slots[s].thread_activities[0];
+    const auto& act = b.activities()[0][s];
     EXPECT_GT(act.at(sig::l2i_hit) / b.slots[s].normalizer, 0.9)
         << b.slots[s].name;
   }
   // Slots 4-5 (4M, 6M) overflow L2.
   for (std::size_t s = 4; s < 6; ++s) {
-    const auto& act = b.slots[s].thread_activities[0];
+    const auto& act = b.activities()[0][s];
     EXPECT_LT(act.at(sig::l2i_hit) / b.slots[s].normalizer, 0.1)
         << b.slots[s].name;
   }

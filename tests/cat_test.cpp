@@ -70,10 +70,10 @@ TEST(CpuFlops, BasisIsBlockDiagonalAndFullRank) {
 
 TEST(CpuFlops, ActivityMatchesBasisAfterNormalization) {
   const auto b = cpu_flops_benchmark();
+  ASSERT_EQ(b.activities().size(), 1u);
   for (std::size_t s = 0; s < b.slots.size(); ++s) {
     const auto& slot = b.slots[s];
-    ASSERT_EQ(slot.thread_activities.size(), 1u);
-    const auto& act = slot.thread_activities[0];
+    const auto& act = b.activities()[0][s];
     // Find the slot's FP signal and compare to the basis entry.
     const auto kernel = static_cast<linalg::index_t>(s / 3);
     double fp_total = 0.0;
@@ -87,7 +87,7 @@ TEST(CpuFlops, ActivityMatchesBasisAfterNormalization) {
 
 TEST(CpuFlops, SlotsCarryLoopHeaderPollution) {
   const auto b = cpu_flops_benchmark();
-  const auto& act = b.slots[0].thread_activities[0];
+  const auto& act = b.activities()[0][0];
   EXPECT_GT(act.at(sig::int_ops), 0.0);
   EXPECT_GT(act.at(sig::branch_cond_retired), 0.0);
   EXPECT_GT(act.at(sig::cycles), 0.0);
@@ -118,7 +118,7 @@ TEST(GpuFlops, BasisLabelOrderMatchesTableII) {
 TEST(GpuFlops, SubtractionKernelEmitsSubSignal) {
   const auto b = gpu_flops_benchmark();
   // SH kernel = basis column 3 -> slots 9..11.
-  const auto& act = b.slots[9].thread_activities[0];
+  const auto& act = b.activities()[0][9];
   EXPECT_GT(act.at(sig::gpu_valu("sub", "f16")), 0.0);
   EXPECT_EQ(act.count(sig::gpu_valu("add", "f16")), 0u);
 }
@@ -156,7 +156,7 @@ TEST(Branch, SlotsRealizeExpectationRows) {
   const auto b = branch_benchmark();
   ASSERT_EQ(b.slots.size(), 11u);
   for (std::size_t s = 0; s < 11; ++s) {
-    const auto& act = b.slots[s].thread_activities[0];
+    const auto& act = b.activities()[0][s];
     const auto r = static_cast<linalg::index_t>(s);
     EXPECT_DOUBLE_EQ(act.at(sig::branch_cond_exec) / b.slots[s].normalizer,
                      b.basis.e(r, 0));
@@ -173,8 +173,8 @@ TEST(Branch, SlotsRealizeExpectationRows) {
 
 TEST(Branch, HalfCountsAreIntegralTotals) {
   const auto b = branch_benchmark();
-  for (const auto& slot : b.slots) {
-    for (const auto& [signal, value] : slot.thread_activities[0]) {
+  for (const auto& act : b.activities()[0]) {
+    for (const auto& [signal, value] : act) {
       EXPECT_DOUBLE_EQ(value, std::round(value)) << signal;
     }
   }
@@ -183,10 +183,8 @@ TEST(Branch, HalfCountsAreIntegralTotals) {
 TEST(Branch, MispredictionsRaiseCycles) {
   const auto b = branch_benchmark();
   // Row 4 is row 1 plus 0.5 mispredictions/iter: strictly more cycles.
-  const double c1 =
-      b.slots[0].thread_activities[0].at(sig::cycles);
-  const double c4 =
-      b.slots[3].thread_activities[0].at(sig::cycles);
+  const double c1 = b.activities()[0][0].at(sig::cycles);
+  const double c4 = b.activities()[0][3].at(sig::cycles);
   EXPECT_GT(c4, c1);
 }
 
@@ -216,16 +214,19 @@ TEST_F(DcacheFixture, SlotCountMatchesPlan) {
 }
 
 TEST_F(DcacheFixture, EverySlotHasPerThreadActivities) {
+  ASSERT_EQ(bench().activities().size(), 2u);
+  for (const auto& row : bench().activities()) {
+    EXPECT_EQ(row.size(), bench().slots.size());
+  }
   for (const auto& slot : bench().slots) {
-    EXPECT_EQ(slot.thread_activities.size(), 2u) << slot.name;
-    EXPECT_GT(slot.normalizer, 0.0);
+    EXPECT_GT(slot.normalizer, 0.0) << slot.name;
   }
 }
 
 TEST_F(DcacheFixture, L1RegimeMeasurementsNearIdeal) {
   // First slot: L1 regime at 0.35 * L1 capacity: ~all demand hits.
   const auto& slot = bench().slots[0];
-  const auto& act = slot.thread_activities[0];
+  const auto& act = bench().activities()[0][0];
   const double hits = act.at(sig::l1d_demand_hit) / slot.normalizer;
   EXPECT_GT(hits, 0.95);
 }
@@ -233,14 +234,16 @@ TEST_F(DcacheFixture, L1RegimeMeasurementsNearIdeal) {
 TEST_F(DcacheFixture, MemoryRegimeMissesEverything) {
   // Slot 7 (stride 32): memory regime at 4x L3.
   const auto& slot = bench().slots[7];
-  const auto& act = slot.thread_activities[0];
+  const auto& act = bench().activities()[0][7];
   EXPECT_GT(act.at(sig::l1d_demand_miss) / slot.normalizer, 0.9);
   EXPECT_LT(act.at(sig::l3d_demand_hit) / slot.normalizer, 0.2);
 }
 
 TEST_F(DcacheFixture, ConservationPerSlot) {
-  for (const auto& slot : bench().slots) {
-    for (const auto& act : slot.thread_activities) {
+  for (const auto& row : bench().activities()) {
+    for (std::size_t s = 0; s < row.size(); ++s) {
+      const auto& slot = bench().slots[s];
+      const auto& act = row[s];
       const double served = act.at(sig::l1d_demand_hit) +
                             act.at(sig::l2d_demand_hit) +
                             act.at(sig::l3d_demand_hit) +
@@ -252,8 +255,8 @@ TEST_F(DcacheFixture, ConservationPerSlot) {
 
 TEST_F(DcacheFixture, ThreadsSeeDifferentChainsButSameRegime) {
   const auto& slot = bench().slots[0];
-  const auto& a0 = slot.thread_activities[0];
-  const auto& a1 = slot.thread_activities[1];
+  const auto& a0 = bench().activities()[0][0];
+  const auto& a1 = bench().activities()[1][0];
   // Same idealized regime...
   EXPECT_NEAR(a0.at(sig::l1d_demand_hit) / slot.normalizer,
               a1.at(sig::l1d_demand_hit) / slot.normalizer, 0.05);

@@ -123,6 +123,9 @@ TEST(PipelineInvariance, SlotPermutationDoesNotChangeSelection) {
   cat::Benchmark bench = cat::branch_benchmark();
   cat::Benchmark reversed = bench;
   std::reverse(reversed.slots.begin(), reversed.slots.end());
+  cat::ActivityTable reversed_acts = bench.activities();
+  std::reverse(reversed_acts[0].begin(), reversed_acts[0].end());
+  reversed.set_activities(std::move(reversed_acts));
   for (linalg::index_t r = 0; r < bench.basis.e.rows(); ++r) {
     reversed.basis.e.set_row(bench.basis.e.rows() - 1 - r,
                              bench.basis.e.row_copy(r));
@@ -156,12 +159,15 @@ TEST_P(RandomSlotPermutation, AnySlotOrderKeepsSelectionAndMetrics) {
   std::shuffle(perm.begin(), perm.end(), rng);
 
   cat::Benchmark permuted = bench;
+  cat::ActivityTable permuted_acts = bench.activities();
   for (std::size_t i = 0; i < perm.size(); ++i) {
     permuted.slots[i] = bench.slots[perm[i]];
+    permuted_acts[0][i] = bench.activities()[0][perm[i]];
     permuted.basis.e.set_row(
         static_cast<linalg::index_t>(i),
         bench.basis.e.row_copy(static_cast<linalg::index_t>(perm[i])));
   }
+  permuted.set_activities(std::move(permuted_acts));
 
   const auto a = run_pipeline(machine, bench, branch_signatures());
   const auto b = run_pipeline(machine, permuted, branch_signatures());

@@ -20,7 +20,7 @@ TEST(IdealEvents, CpuFlopsBasisMatchesIdealEventMeasurements) {
   const auto b = cat::cpu_flops_benchmark();
   ASSERT_EQ(b.basis.ideal_events.size(), 16u);
   for (std::size_t s = 0; s < b.slots.size(); ++s) {
-    const auto& act = b.slots[s].thread_activities.front();
+    const auto& act = b.activities()[0][s];
     for (std::size_t k = 0; k < b.basis.ideal_events.size(); ++k) {
       EXPECT_DOUBLE_EQ(
           b.basis.ideal_events[k].ideal(act) / b.slots[s].normalizer,
@@ -35,7 +35,7 @@ TEST(IdealEvents, BranchBasisMatchesIdealEventMeasurements) {
   const auto b = cat::branch_benchmark();
   ASSERT_EQ(b.basis.ideal_events.size(), 5u);
   for (std::size_t s = 0; s < b.slots.size(); ++s) {
-    const auto& act = b.slots[s].thread_activities.front();
+    const auto& act = b.activities()[0][s];
     for (std::size_t k = 0; k < 5; ++k) {
       EXPECT_DOUBLE_EQ(
           b.basis.ideal_events[k].ideal(act) / b.slots[s].normalizer,
@@ -54,7 +54,7 @@ TEST(IdealEvents, DcacheBasisApproximatesIdealEventMeasurements) {
   opt.strides = {32};
   const auto b = cat::dcache_benchmark(opt);
   for (std::size_t s = 0; s < b.slots.size(); ++s) {
-    const auto& act = b.slots[s].thread_activities.front();
+    const auto& act = b.activities()[0][s];
     for (std::size_t k = 0; k < 4; ++k) {
       EXPECT_NEAR(
           b.basis.ideal_events[k].ideal(act) / b.slots[s].normalizer,
@@ -109,7 +109,7 @@ TEST(MixedWorkloads, ActivityIsWeightedSuperposition) {
     // Reconstruct the expected cond-retired count from the weights.
     double expected = 0.0;
     for (std::size_t s = 0; s < b.slots.size(); ++s) {
-      const auto& act = b.slots[s].thread_activities.front();
+      const auto& act = b.activities()[0][s];
       auto it = act.find(pmu::sig::branch_cond_retired);
       if (it != act.end()) expected += mix.weights[s] * it->second;
     }
